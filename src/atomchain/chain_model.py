@@ -74,7 +74,6 @@ class ChainConfig:
     mixing_angle: float = 0.0
     control_wavevector: float = np.pi / 5.0
     detuning: float = 0.0
-    gamma0: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class ValidatedConfig:
     mixing_angle: float
     control_wavevector: float
     detuning: float
-    gamma0: float
     k0: float
     control_wavevector_abs: float
     subradiant: bool
@@ -104,7 +102,6 @@ class ValidatedConfig:
             mixing_angle=self.mixing_angle,
             control_wavevector=self.control_wavevector,
             detuning=self.detuning,
-            gamma0=self.gamma0,
         )
 
 
@@ -124,11 +121,6 @@ def validate(config: ChainConfig) -> ValidatedConfig:
         )
     if not np.isfinite(config.detuning):
         raise ConfigError(f"detuning must be finite, got {config.detuning!r}")
-    if config.gamma0 != 1.0:
-        raise ConfigError(
-            "gamma0 is the unit of frequency and must be 1.0, "
-            f"got {config.gamma0!r}"
-        )
     return ValidatedConfig(
         n_atoms=int(config.n_atoms),
         lattice_const=float(config.lattice_const),
@@ -136,7 +128,6 @@ def validate(config: ChainConfig) -> ValidatedConfig:
         mixing_angle=float(config.mixing_angle),
         control_wavevector=float(config.control_wavevector),
         detuning=float(config.detuning),
-        gamma0=1.0,
         k0=K0,
         control_wavevector_abs=float(config.control_wavevector) / float(config.lattice_const),
         subradiant=float(config.lattice_const) <= SUBRADIANCE_LATTICE_LIMIT,
@@ -203,11 +194,7 @@ def read_config(path: str | Path) -> tuple[ChainConfig, int | None]:
 
 
 def write_config(path: str | Path, config: ChainConfig, seed: int | None = None) -> None:
-    lines = []
-    for f in fields(config):
-        if f.name == "gamma0":
-            continue
-        lines.append(f"{f.name} = {getattr(config, f.name)!r}")
+    lines = [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(config)]
     if seed is not None:
         lines.append(f"seed = {seed}")
     Path(path).write_text("\n".join(lines) + "\n")

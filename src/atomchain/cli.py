@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .chain_model import ChainConfig, ConfigError, GAMMA0, read_config, validate
+from .chain_model import ConfigError, GAMMA0, read_config, validate, with_mixing_angle
 from .collective_couplings import build_couplings
 from .dynamics import (
     Propagator,
@@ -50,7 +50,6 @@ from .ensemble import (
     SCALAR_OBSERVABLES,
     EnsembleSpec,
     compare_configs,
-    reciprocal_twin,
     run_ensemble,
 )
 from .hamiltonian import assemble
@@ -131,7 +130,13 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 # ----------------------------------------------------------------- commands
 
 
+def _require_at_least(value, floor, flag: str) -> None:
+    if value < floor:
+        raise ConfigError(f"{flag} must be >= {floor}, got {value!r}")
+
+
 def cmd_dispersion(args, vc, seed, outdir, fmt):
+    _require_at_least(args.n_k, 1, "--n-k")
     bands = bloch_bands(vc, default_k_grid(vc, args.n_k))
     rows = zip(
         bands.k_grid,
@@ -152,13 +157,11 @@ def cmd_dispersion(args, vc, seed, outdir, fmt):
     max_im = float(max(bands.upper.imag.max(), bands.lower.imag.max()))
     checks.append(CheckResult("bands_non_amplifying", max_im <= 1e-6, max_im, 1e-6))
     if abs(np.sin(vc.mixing_angle)) < 1e-12:
-        probe = np.linspace(0.2, 0.8, 5) * np.pi / vc.lattice_const
-        fwd = bloch_bands(vc, probe)
-        bwd = bloch_bands(vc, -probe)
+        # grid row j sits at k = -k of row n_k - 2 - j; the last row, pi/a, is its own mirror
         asym = float(
             max(
-                np.max(np.abs(fwd.upper - bwd.upper)),
-                np.max(np.abs(fwd.lower - bwd.lower)),
+                np.max(np.abs(band[:-1] - band[-2::-1]), initial=0.0)
+                for band in (bands.upper, bands.lower)
             )
         )
         checks.append(CheckResult("bands_even_in_k", asym < 1e-9, asym, 1e-9))
@@ -167,6 +170,7 @@ def cmd_dispersion(args, vc, seed, outdir, fmt):
 
 
 def cmd_transmit(args, vc, seed, outdir, fmt):
+    _require_at_least(args.n_e, 1, "--n-e")
     couplings = build_couplings(vc)
     h = assemble(vc, couplings)
     half = gamma_sqrt(decay_modes(couplings))
@@ -301,6 +305,8 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
     sqrt_w = _parse_float_list(args.sqrt_w, "--sqrt-w")
     if any(s < 0 for s in sqrt_w):
         raise ConfigError("--sqrt-w values must be non-negative")
+    _require_at_least(args.realizations, 1, "--realizations")
+    _require_at_least(args.time, 0.0, "--time")
     observables = ("survival", "kspace_ipr", "realspace_ipr")
     spec = EnsembleSpec(
         base_config=vc.as_config(),
@@ -338,9 +344,12 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         result = run_ensemble(spec)
         agg_rows = dump_result(result, "")
         extras["transparency_window"] = result.transparency_window
+        extras["failures"] = result.failures
         zero_std = _zero_disorder_spread(result, sqrt_w)
     else:
-        comparison = compare_configs(spec, vc.as_config(), reciprocal_twin(vc.as_config()))
+        comparison = compare_configs(
+            spec, vc.as_config(), with_mixing_angle(vc.as_config(), 0.0)
+        )
         agg_rows = dump_result(comparison.result_a, "base")
         agg_rows += dump_result(comparison.result_b, "twin")
         diff_rows = []
@@ -365,6 +374,8 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         outputs.append(name)
         extras["transparency_window_base"] = comparison.result_a.transparency_window
         extras["transparency_window_twin"] = comparison.result_b.transparency_window
+        extras["failures_base"] = comparison.result_a.failures
+        extras["failures_twin"] = comparison.result_b.failures
         zero_std = max(
             _zero_disorder_spread(comparison.result_a, sqrt_w),
             _zero_disorder_spread(comparison.result_b, sqrt_w),
@@ -558,7 +569,7 @@ def main(argv=None) -> int:
             "mixing_angle": vc.mixing_angle,
             "control_wavevector": vc.control_wavevector,
             "detuning": vc.detuning,
-            "gamma0": vc.gamma0,
+            "gamma0": GAMMA0,
         },
         "seed": seed,
         "threads": args.threads,

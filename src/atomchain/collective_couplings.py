@@ -1,14 +1,13 @@
-"""Free-space dyadic Green's function and collective coupling matrices.
+"""Closed-form on-axis coupling kernel and collective coupling matrices.
 
 The chain couples to the vacuum field, which mediates a coherent frequency
 shift and a correlated decay between every pair of (site, polarization)
-states.  Both matrices are derived from the standard normalized free-space
-dyadic Green's function
+states.  Both come from the normalized free-space dyadic Green's function
 
-    G(r) = (e^{i k0 r} / (4 pi r)) [ (1 + i/(k0 r) - 1/(k0 r)^2) I
-                                     + (-1 - 3i/(k0 r) + 3/(k0 r)^2) rhat rhat ]
+    G(r) = (e^{iu} / (4 pi r)) [ (1 + i/u - 1/u^2) I
+                                 + (-1 - 3i/u + 3/u^2) rhat rhat ],   u = k0 r,
 
-contracted with the circular dipole unit vectors:
+contracted with the circular dipole unit vectors d_(+/-) = -/+ (x +/- i y)/sqrt(2):
 
     decay_{ns,ms'} = (6 pi GAMMA0 / k0) * Im[ d_s^* . G(r_n - r_m) . d_s' ]   (n != m)
     shift_{ns,ms'} = -(3 pi GAMMA0 / k0) * Re[ d_s^* . G(r_n - r_m) . d_s' ]  (n != m)
@@ -17,10 +16,15 @@ with decay_{ns,ns} = GAMMA0 and shift_{ns,ns} = 0 (the self shift is absorbed
 into the transition frequency).  This normalization reproduces
 Im[d^* . G(0) . d] -> k0 / (6 pi), i.e. the single-atom linewidth.
 
-For a z-axis chain with transverse circular dipoles the +/- polarization
-blocks never mix: d_+^* . G . d_- = 0 identically, because G is diagonal in
-the Cartesian basis for separations along z and the cross contraction
-cancels the xx against the yy component.
+On the z axis rhat = z is orthogonal to both dipoles, so the rhat rhat term
+drops out of every contraction, and on the transverse plane G is the scalar
+
+    g(r) = e^{iu} (1 + i/u - 1/u^2) / (4 pi r)
+
+times the identity: G_xx = G_yy = g and G_xy = 0.  Hence
+d_s^* . G . d_s' = g * delta_ss': one kernel serves both polarizations, and
+the cross-polarization contraction d_+^* . G . d_- = -(G_xx - G_yy)/2
+vanishes identically, because the xx and yy components cancel.
 """
 
 from __future__ import annotations
@@ -30,75 +34,34 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .chain_model import (
-    DIPOLE_VECTORS,
-    GAMMA0,
-    Polarization,
-    ValidatedConfig,
-    positions,
-)
+from .chain_model import GAMMA0, ValidatedConfig, positions
 
 
 @dataclass(frozen=True)
 class CouplingMatrices:
-    """Hermitian collective shift and PSD decay matrices, flattened indexing."""
+    """Real symmetric collective shift and PSD decay matrices, flattened indexing."""
 
     shift: np.ndarray
     decay: np.ndarray
 
 
-def dyadic_green(separation: np.ndarray, k0: float) -> np.ndarray:
-    """Normalized free-space dyadic Green's tensor at the given separation.
-
-    Returns a symmetric 3x3 complex tensor.  Zero separation is a domain
-    error: the self-term is handled separately by the matrix builders.
-    """
-    sep = np.asarray(separation, dtype=float)
-    if sep.shape != (3,):
-        raise ValueError(f"separation must be a 3-vector, got shape {sep.shape}")
-    r = float(np.linalg.norm(sep))
-    if r == 0.0:
-        raise ValueError("dyadic_green is undefined at zero separation")
-    u = k0 * r
-    rhat = sep / r
-    scalar = (1.0 + 1.0j / u - 1.0 / u**2) * np.eye(3)
-    dyad = (-1.0 - 3.0j / u + 3.0 / u**2) * np.outer(rhat, rhat)
-    return (np.exp(1.0j * u) / (4.0 * np.pi * r)) * (scalar + dyad)
-
-
-def pair_coupling(separation: np.ndarray, k0: float, s: Polarization, sp: Polarization) -> complex:
-    """d_s^* . G . d_s' contraction for one atom pair."""
-    g = dyadic_green(separation, k0)
-    return complex(np.conj(DIPOLE_VECTORS[s]) @ g @ DIPOLE_VECTORS[sp])
-
-
 def build_couplings(vc: ValidatedConfig) -> CouplingMatrices:
     """Assemble shift and decay over the flattened (site, polarization) index.
 
-    The chain is translation invariant, so only the n_atoms - 1 distinct
-    separations are evaluated; the per-polarization blocks are symmetric
-    Toeplitz.  Cross-polarization entries are identically zero on the z axis
-    and are stored as exact zeros.
+    The chain is translation invariant, so g is evaluated once on the
+    n_atoms - 1 distinct separations; the per-polarization blocks are
+    symmetric Toeplitz and the cross-polarization entries exact zeros.
     """
     n = vc.n_atoms
-    zs = positions(vc)
-    # Transverse contraction is polarization independent on the z axis.
-    same = np.empty(n, dtype=complex)
-    same[0] = 0.0
-    for j in range(1, n):
-        same[j] = pair_coupling(np.array([0.0, 0.0, zs[j]]), vc.k0, Polarization.PLUS, Polarization.PLUS)
-
-    decay_row = (6.0 * np.pi * GAMMA0 / vc.k0) * same.imag
-    shift_row = -(3.0 * np.pi * GAMMA0 / vc.k0) * same.real
-    decay_row[0] = GAMMA0
-    shift_row[0] = 0.0
-
-    decay_block = toeplitz(decay_row)
-    shift_block = toeplitz(shift_row)
+    r = positions(vc)[1:]
+    u = vc.k0 * r
+    g = np.exp(1.0j * u) * (1.0 + 1.0j / u - 1.0 / u**2) / (4.0 * np.pi * r)
+    decay_block = toeplitz(np.concatenate(([GAMMA0], (6.0 * np.pi * GAMMA0 / vc.k0) * g.imag)))
+    shift_block = toeplitz(np.concatenate(([0.0], -(3.0 * np.pi * GAMMA0 / vc.k0) * g.real)))
 
     decay = np.zeros((2 * n, 2 * n))
     shift = np.zeros((2 * n, 2 * n))
     for off in (0, 1):  # plus block then minus block, interleaved site-major
         decay[off::2, off::2] = decay_block
         shift[off::2, off::2] = shift_block
-    return CouplingMatrices(shift=shift.astype(complex), decay=decay.astype(complex))
+    return CouplingMatrices(shift=shift, decay=decay)

@@ -168,7 +168,10 @@ def site_participation(state: ExcitationState) -> tuple[float, float]:
     effective number of occupied sites.  Growing ipr means localization.
     """
     p_plus, p_minus = populations(state)
-    p = p_plus + p_minus
+    return _ipr(p_plus + p_minus)
+
+
+def _ipr(p: np.ndarray) -> tuple[float, float]:
     total = p.sum()
     if total == 0.0:
         return float("nan"), float("nan")
@@ -205,14 +208,6 @@ class MomentumDistribution:
     ipr_minus: float
     participation_plus: float
     participation_minus: float
-
-
-def _ipr(p: np.ndarray) -> tuple[float, float]:
-    total = p.sum()
-    if total == 0.0:
-        return float("nan"), float("nan")
-    ipr = float(np.sum(p**2) / total**2)
-    return ipr, 1.0 / ipr
 
 
 def momentum_distribution(state: ExcitationState, vc: ValidatedConfig) -> MomentumDistribution:
@@ -367,6 +362,25 @@ def detector_grid(
     )
 
 
+def _jump_rows(vc: ValidatedConfig, cos_polar: np.ndarray, azimuths: np.ndarray) -> np.ndarray:
+    """Conjugated detection rows J, one per (polar, azimuth, polarization).
+
+    Node-major (polar outer, azimuth inner), theta_hat polarization before
+    phi_hat; columns follow the flattened (site, polarization) index.
+    """
+    x = cos_polar[:, None]
+    sin_th = np.sqrt(1.0 - x * x)
+    cp, sp = np.cos(azimuths), np.sin(azimuths)
+    theta_hat = np.stack(np.broadcast_arrays(x * cp, x * sp, -sin_th), axis=-1)
+    phi_hat = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(x)), axis=-1)
+    dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
+    # (polar, azimuth, polarization, source polarization)
+    amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
+    phase = np.exp(-1.0j * vc.k0 * x * positions(vc))
+    rows = amp[:, :, :, None, :] * phase[:, None, None, :, None]
+    return np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
+
+
 def detector_rows(grid: DetectorGrid, vc: ValidatedConfig) -> tuple[np.ndarray, np.ndarray]:
     """Jump rows (n_nodes * 2 polarizations, 2 N) and matching node weights.
 
@@ -374,28 +388,7 @@ def detector_rows(grid: DetectorGrid, vc: ValidatedConfig) -> tuple[np.ndarray, 
     polarization before phi_hat.  Rows carry sqrt of photon flux per unit
     solid angle; weights are the quadrature measure.
     """
-    zs = positions(vc)
-    n = vc.n_atoms
-    amp0 = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi))
-    rows = np.empty((grid.n_nodes * 2, 2 * n), dtype=complex)
-    weights = np.empty(grid.n_nodes * 2)
-    w_phi = 2.0 * np.pi / grid.azimuths.size
-    idx = 0
-    for x, wx in zip(grid.cos_polar, grid.polar_weights):
-        sin_th = np.sqrt(1.0 - x * x)
-        phase = np.exp(-1.0j * vc.k0 * x * zs)
-        for phi in grid.azimuths:
-            cp, sp = np.cos(phi), np.sin(phi)
-            theta_hat = np.array([x * cp, x * sp, -sin_th])
-            phi_hat = np.array([-sp, cp, 0.0])
-            for pol_vec in (theta_hat, phi_hat):
-                row = np.zeros(2 * n, dtype=complex)
-                for s, col in ((Polarization.PLUS, 0), (Polarization.MINUS, 1)):
-                    row[col::2] = amp0 * (pol_vec @ DIPOLE_VECTORS[s]) * phase
-                rows[idx] = np.conj(row)
-                weights[idx] = wx * w_phi
-                idx += 1
-    return rows, weights
+    return _jump_rows(vc, grid.cos_polar, grid.azimuths), np.repeat(grid.node_weights(), 2)
 
 
 def detection_probability(
@@ -417,21 +410,11 @@ def detection_probability(
         raise ValueError(f"node index {node} out of range for {grid.n_nodes} nodes")
     if polarization not in (0, 1):
         raise ValueError(f"polarization must be 0 (theta) or 1 (phi), got {polarization!r}")
-    n_phi = grid.azimuths.size
-    i_polar, rem = divmod(node, n_phi)
-    phi = grid.azimuths[rem]
-    x = grid.cos_polar[i_polar]
-    sin_th = np.sqrt(1.0 - x * x)
-    cp, sp = np.cos(phi), np.sin(phi)
-    pol_vec = (
-        np.array([x * cp, x * sp, -sin_th]) if polarization == 0 else np.array([-sp, cp, 0.0])
-    )
-    zs = positions(vc)
-    phase = np.exp(-1.0j * vc.k0 * x * zs)
-    row = np.zeros(state.amps.size, dtype=complex)
-    for s, col in ((Polarization.PLUS, 0), (Polarization.MINUS, 1)):
-        row[col::2] = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (pol_vec @ DIPOLE_VECTORS[s]) * phase
-    return float(dt * np.abs(np.conj(row) @ state.amps) ** 2)
+    i_polar, i_azimuth = divmod(node, grid.azimuths.size)
+    row = _jump_rows(
+        vc, grid.cos_polar[i_polar : i_polar + 1], grid.azimuths[i_azimuth : i_azimuth + 1]
+    )[polarization]
+    return float(dt * np.abs(row @ state.amps) ** 2)
 
 
 def total_detection_rate(

@@ -25,7 +25,7 @@ it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,16 +135,24 @@ class _ConfigRunner:
 
 
 def _aggregate(values: np.ndarray) -> np.ndarray:
-    """(n_w, 3) rows of mean, standard error, count along the realization axis."""
-    n = values.shape[1]
-    mean = values.mean(axis=1)
-    sem = values.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
-    # identical realizations (the W = 0 column) must aggregate without
-    # summation rounding: mean is the common value, spread exactly zero
-    degenerate = np.ptp(values, axis=1) == 0.0
-    mean[degenerate] = values[degenerate, 0]
-    sem[degenerate] = 0.0
-    return np.column_stack([mean, sem, np.full_like(mean, n)])
+    """(n_w, 3) rows of mean, standard error, count along the realization axis.
+
+    Only finite cells count: a failed realization (NaN) drops out of the
+    mean, the standard error and the reported count.
+    """
+    rows = []
+    for row in values:
+        ok = row[np.isfinite(row)]
+        n = ok.size
+        if n == 0:
+            rows.append((np.nan, np.nan, 0))
+        elif np.ptp(ok) == 0.0:
+            # identical realizations (the W = 0 column) must aggregate without
+            # summation rounding: mean is the common value, spread exactly zero
+            rows.append((ok[0], 0.0, n))
+        else:
+            rows.append((ok.mean(), ok.std(ddof=1) / np.sqrt(n), n))
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> EnsembleResult:
@@ -263,11 +271,9 @@ def compare_configs(
     result_a = run_ensemble(spec, config_a)
     result_b = run_ensemble(spec, config_b)
     diff_mean, diff_sem, z_score = {}, {}, {}
-    n = spec.n_realizations
     for name in SCALAR_OBSERVABLES:
-        diff = result_a.scalars[name] - result_b.scalars[name]
-        mean = diff.mean(axis=1)
-        sem = diff.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+        # a cell that failed in either config is NaN here and drops out
+        mean, sem, _ = _aggregate(result_a.scalars[name] - result_b.scalars[name]).T
         diff_mean[name] = mean
         diff_sem[name] = sem
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -280,8 +286,3 @@ def compare_configs(
         diff_sem=diff_sem,
         z_score=z_score,
     )
-
-
-def reciprocal_twin(config: ChainConfig) -> ChainConfig:
-    """The same chain with the drive mixing angle set to zero."""
-    return replace(config, mixing_angle=0.0)

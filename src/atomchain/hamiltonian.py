@@ -37,34 +37,35 @@ class NonHermitianHamiltonian:
     config_fingerprint: str
 
 
-def single_atom_block(vc: ValidatedConfig, site: int) -> np.ndarray:
-    """Hermitian 2x2 drive block in the {plus, minus} basis at one site.
+def _drive_terms(vc: ValidatedConfig) -> tuple[float, float, float]:
+    """On-site energies (eps_plus, eps_minus) and the Raman coupling magnitude.
 
-    Diagonal: (detuning + delta) - (delta/4) * (1 - s*cos(theta)), so the
-    bare splitting between the two excited states is (delta/2) * cos(theta).
-    Off-diagonal: the two-photon Raman coupling (delta/4) * sin(theta) with
-    the running phase exp(-2i * k_c * z_n) in the (plus, minus) entry.
+    eps_s = (detuning + delta) - (delta/4) * (1 - s*cos(theta)), so the bare
+    splitting between the two excited states is (delta/2) * cos(theta); the
+    two-photon Raman coupling is (delta/4) * sin(theta).
     """
-    delta = vc.delta_shift
-    theta = vc.mixing_angle
-    phase = np.exp(-2.0j * vc.control_wavevector * site)
-    coupling = (delta / 4.0) * np.sin(theta)
-    diag = [
-        (vc.detuning + delta) - (delta / 4.0) * (1.0 - s * np.cos(theta))
-        for s in (+1, -1)
-    ]
-    return np.array(
-        [[diag[0], coupling * phase], [coupling * np.conj(phase), diag[1]]],
-        dtype=complex,
+    delta, theta = vc.delta_shift, vc.mixing_angle
+    eps_plus, eps_minus = (
+        (vc.detuning + delta) - (delta / 4.0) * (1.0 - s * np.cos(theta)) for s in (+1, -1)
     )
+    return eps_plus, eps_minus, (delta / 4.0) * np.sin(theta)
 
 
 def drive_hamiltonian(vc: ValidatedConfig) -> np.ndarray:
-    """Block-diagonal stack of single_atom_block over all sites (Hermitian)."""
+    """Hermitian block-diagonal drive: one 2x2 {plus, minus} block per site.
+
+    The diagonal holds the on-site energies; the (plus, minus) entry holds
+    the Raman coupling with the running phase exp(-2i * k_c * z_n).
+    """
     n = vc.n_atoms
+    eps_plus, eps_minus, coupling = _drive_terms(vc)
+    phase = np.exp(-2.0j * vc.control_wavevector * np.arange(n))
+    plus = 2 * np.arange(n)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
-    for site in range(n):
-        h[2 * site : 2 * site + 2, 2 * site : 2 * site + 2] = single_atom_block(vc, site)
+    h[plus, plus] = eps_plus
+    h[plus + 1, plus + 1] = eps_minus
+    h[plus, plus + 1] = coupling * phase
+    h[plus + 1, plus] = coupling * np.conj(phase)
     return h
 
 

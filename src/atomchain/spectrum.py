@@ -35,7 +35,7 @@ from scipy.special import zeta
 
 from .chain_model import GAMMA0, ValidatedConfig
 from .collective_couplings import CouplingMatrices
-from .hamiltonian import NonHermitianHamiltonian
+from .hamiltonian import NonHermitianHamiltonian, _drive_terms
 
 # zeta(2m) table for the Clausen series; (q/2pi)^(2m) <= 4^-m at q <= pi,
 # so 55 terms leave the remainder far below 1e-16.
@@ -179,13 +179,6 @@ def chain_k_grid(vc: ValidatedConfig) -> np.ndarray:
     return -np.pi / a + 2.0 * np.pi * (np.arange(n) + 1.0) / (n * a)
 
 
-def _onsite_energies(vc: ValidatedConfig) -> tuple[float, float]:
-    delta, theta = vc.delta_shift, vc.mixing_angle
-    return tuple(
-        (vc.detuning + delta) - (delta / 4.0) * (1.0 - s * np.cos(theta)) for s in (+1, -1)
-    )
-
-
 def _gauge_shift(vc: ValidatedConfig) -> float:
     # At theta = n*pi the Raman phases drop out of the Hamiltonian entirely,
     # so the physical chain is analyzed in the bare frame (no gauge shift)
@@ -200,8 +193,10 @@ def bloch_bands(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> BlochB
 
     Quasimomenta outside (-pi/a, pi/a] are folded back with a warning.
     Grid points whose shifted momentum lands exactly on a light line are
-    nudged by 1e-9/a to sidestep the logarithmic divergence of the p = 1
-    lattice sum; the nudge is far below any band feature of interest.
+    nudged by 1e-9/a toward the inside of the light cone, to sidestep the
+    logarithmic divergence of the p = 1 lattice sum; the nudge is far below
+    any band feature of interest, and mirror-image points +/-q get mirror
+    nudges, so reciprocal bands stay even in k.
     """
     if k_grid is None:
         k_grid = default_k_grid(vc)
@@ -214,8 +209,7 @@ def bloch_bands(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> BlochB
         warnings.warn("quasimomenta outside (-pi/a, pi/a] were folded back")
 
     kc = _gauge_shift(vc)
-    eps_plus, eps_minus = _onsite_energies(vc)
-    coupling = (vc.delta_shift / 4.0) * np.sin(vc.mixing_angle)
+    eps_plus, eps_minus, coupling = _drive_terms(vc)
 
     nk = folded.size
     lam = np.empty((nk, 2), dtype=complex)
@@ -227,7 +221,8 @@ def bloch_bands(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> BlochB
             try:
                 f = coupling_fourier_sum(q, vc)
             except LatticeSumDivergence:
-                f = coupling_fourier_sum(q + 1e-9 / a, vc)
+                inward = np.copysign(1e-9 / a, np.mod(q + np.pi / a, bz) - np.pi / a)
+                f = coupling_fourier_sum(q - inward, vc)
             diag.append(eps - 0.5j * GAMMA0 + f)
         mat = np.array([[diag[0], coupling], [coupling, diag[1]]])
         values, vectors = np.linalg.eig(mat)

@@ -1,3 +1,8 @@
+# atomchain.cli pins the BLAS thread pools to one thread on import, which only
+# takes effect before numpy is first imported; threaded ensemble tests would
+# otherwise oversubscribe the cores.
+import atomchain.cli  # noqa: F401  (must stay the first import)
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from atomchain.chain_model import ChainConfig, validate
+from atomchain.chain_model import ChainConfig, validate, with_mixing_angle
 from atomchain.collective_couplings import build_couplings
 from atomchain.dynamics import (
     Propagator,
@@ -26,7 +26,7 @@ from atomchain.dynamics import (
     propagate_to,
     spin_wave,
 )
-from atomchain.ensemble import EnsembleSpec, compare_configs, reciprocal_twin
+from atomchain.ensemble import EnsembleSpec, compare_configs
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
     gamma_sqrt,
@@ -277,7 +277,7 @@ def test_disorder_localization_ordering():
         width_sq=60.0,
         max_workers=4,
     )
-    comparison = compare_configs(spec, base, reciprocal_twin(base))
+    comparison = compare_configs(spec, base, with_mixing_angle(base, 0.0))
     ipr_a = comparison.result_a.scalars["realspace_ipr"]
     ipr_b = comparison.result_b.scalars["realspace_ipr"]
     n = spec.n_realizations

@@ -68,7 +68,6 @@ def test_positions_spacing():
         ({"lattice_const": -1.0}, "lattice_const"),
         ({"lattice_const": float("nan")}, "lattice_const"),
         ({"delta_shift": float("inf")}, "delta_shift"),
-        ({"gamma0": 2.0}, "gamma0"),
     ],
 )
 def test_validation_errors_name_field(kwargs, field):

@@ -10,6 +10,7 @@ import pytest
 
 from atomchain import cli
 from atomchain.cli import CheckResult, main
+from atomchain.ensemble import _ConfigRunner
 
 
 BASE = {
@@ -171,6 +172,52 @@ def test_disorder_single_mode(tmp_path):
     assert manifest["extras"]["transparency_window"] > 0
 
 
+def test_disorder_partial_ensemble_is_honest(tmp_path, monkeypatch):
+    # one cell of the driven config fails; its twin cell succeeds
+    run_cell = _ConfigRunner.run_cell
+
+    def flaky(self, disorder):
+        if (
+            disorder is not None
+            and disorder.seed.spawn_key == (1, 0)
+            and self.vc.mixing_angle != 0.0
+        ):
+            raise RuntimeError("synthetic cell failure")
+        return run_cell(self, disorder)
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", flaky)
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(
+        ["disorder", "--config", cfg, "--out", str(out), "--realizations", "21",
+         "--time", "2.0"]
+    )
+    assert rc == 0
+    manifest = read_manifest(out)
+    assert manifest["extras"]["failures_base"] == [[1, 0, "RuntimeError: synthetic cell failure"]]
+    assert manifest["extras"]["failures_twin"] == []
+
+    def rows(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return [line.split(",") for line in lines]
+
+    agg = {(r[0], r[1], r[2]): (float(r[3]), float(r[4]), int(r[5])) for r in rows("aggregate.csv")}
+    for obs in ("survival", "realspace_ipr"):
+        mean, sem, n = agg[("base", obs, "0.625")]
+        assert n == 20 and np.isfinite(mean) and np.isfinite(sem) and sem > 0
+        assert agg[("twin", obs, "0.625")][2] == 21
+        assert agg[("base", obs, "1.0")][2] == 21
+        base = np.array([float(r[2]) for r in rows(f"{obs}_base.csv") if r[0] == "0.625"])
+        twin = np.array([float(r[2]) for r in rows(f"{obs}_twin.csv") if r[0] == "0.625"])
+        assert np.isnan(base[0]) and np.isfinite(base[1:]).all()
+        paired = [r for r in rows("paired_diff.csv") if r[0] == obs and r[1] == "0.625"]
+        diff_mean, diff_sem, z = (float(v) for v in paired[0][2:])
+        assert np.isfinite([diff_mean, diff_sem, z]).all()
+        diff = base[1:] - twin[1:]
+        assert diff_mean == pytest.approx(diff.mean(), rel=1e-12)
+        assert diff_sem == pytest.approx(diff.std(ddof=1) / np.sqrt(20), rel=1e-12)
+
+
 def test_verify_passes_on_default_config(tmp_path):
     cfg = write_cfg(tmp_path / "chain.cfg")
     out = tmp_path / "out"
@@ -254,6 +301,28 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
     )
     assert rc == 2
     assert "--source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, flag",
+    [
+        ("transmit", ["--n-e", "0"], "--n-e"),
+        ("dispersion", ["--n-k", "0"], "--n-k"),
+        ("disorder", ["--time", "-1"], "--time"),
+        ("disorder", ["--realizations", "0"], "--realizations"),
+    ],
+)
+def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):
+    cfg = write_cfg(tmp_path / "chain.cfg")
+
+    def setup_reached(*args, **kwargs):
+        raise AssertionError("set-up ran before the flag was checked")
+
+    for name in ("build_couplings", "bloch_bands", "run_ensemble", "compare_configs"):
+        monkeypatch.setattr(cli, name, setup_reached)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_exit_2_missing_required_flag():

@@ -9,14 +9,53 @@ from atomchain.chain_model import (
     K0,
     ChainConfig,
     Polarization,
+    positions,
     validate,
 )
-from atomchain.collective_couplings import build_couplings, dyadic_green, pair_coupling
+from atomchain.collective_couplings import build_couplings
+
+# Reference model: the general free-space dyadic Green's tensor and its 3x3
+# dipole contraction, against which the closed-form on-axis kernel is checked.
 
 
-def transverse_coefficient(d: float) -> complex:
-    u = K0 * d
-    return np.exp(1j * u) / (4 * np.pi * d) * (1 + 1j / u - 1 / u**2)
+def dyadic_green(separation: np.ndarray, k0: float) -> np.ndarray:
+    """Normalized free-space dyadic Green's tensor at the given separation."""
+    sep = np.asarray(separation, dtype=float)
+    if sep.shape != (3,):
+        raise ValueError(f"separation must be a 3-vector, got shape {sep.shape}")
+    r = float(np.linalg.norm(sep))
+    if r == 0.0:
+        raise ValueError("dyadic_green is undefined at zero separation")
+    u = k0 * r
+    rhat = sep / r
+    scalar = (1.0 + 1.0j / u - 1.0 / u**2) * np.eye(3)
+    dyad = (-1.0 - 3.0j / u + 3.0 / u**2) * np.outer(rhat, rhat)
+    return (np.exp(1.0j * u) / (4.0 * np.pi * r)) * (scalar + dyad)
+
+
+def pair_coupling(separation: np.ndarray, k0: float, s: Polarization, sp: Polarization) -> complex:
+    """d_s^* . G . d_s' contraction for one atom pair."""
+    g = dyadic_green(separation, k0)
+    return complex(np.conj(DIPOLE_VECTORS[s]) @ g @ DIPOLE_VECTORS[sp])
+
+
+def dyadic_couplings(vc) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, decay) from the 3x3 contraction at every separation and polarization pair."""
+    n = vc.n_atoms
+    pols = (Polarization.PLUS, Polarization.MINUS)
+    per_lag = np.array(
+        [
+            [[pair_coupling(np.array([0.0, 0.0, z]), K0, s, sp) for sp in pols] for s in pols]
+            for z in positions(vc)[1:]
+        ]
+    ).reshape(n - 1, 2, 2)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    contraction = np.concatenate([np.zeros((1, 2, 2)), per_lag])[lag]
+    contraction = contraction.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    decay = (6 * np.pi * GAMMA0 / K0) * contraction.imag
+    shift = -(3 * np.pi * GAMMA0 / K0) * contraction.real
+    np.fill_diagonal(decay, GAMMA0)
+    return shift, decay
 
 
 def test_green_far_field_transverse():
@@ -83,6 +122,18 @@ def test_cross_polarization_exactly_zero_on_axis():
     for d in (0.125, 0.7, 2.0):
         val = pair_coupling(np.array([0.0, 0.0, d]), K0, Polarization.PLUS, Polarization.MINUS)
         assert val == 0.0 or abs(val) < 1e-17
+
+
+@pytest.mark.parametrize("a", [0.125, 1.0 / 6.0, 0.25])
+def test_closed_form_kernel_matches_dyadic_contraction(a):
+    vc = validate(ChainConfig(n_atoms=205, lattice_const=a))
+    couplings = build_couplings(vc)
+    shift, decay = dyadic_couplings(vc)
+    assert np.max(np.abs(couplings.shift - shift)) <= 1e-15
+    assert np.max(np.abs(couplings.decay - decay)) <= 1e-15
+    for off in (0, 1):
+        assert np.all(couplings.shift[off::2, 1 - off :: 2] == 0.0)
+        assert np.all(couplings.decay[off::2, 1 - off :: 2] == 0.0)
 
 
 def test_build_couplings_structure(dir24, dir24_couplings):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atomchain.chain_model import GAMMA0, ChainConfig, validate
+from atomchain.chain_model import DIPOLE_VECTORS, GAMMA0, ChainConfig, Polarization, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import assemble
 from atomchain.dynamics import (
@@ -232,6 +232,36 @@ def test_flux_conservation_matches_norm_loss(dir24, dir24_couplings, dir24_prop)
     flux = total_detection_rate(state, detector_grid(dir24), dir24)
     expected = float(np.real(state.amps.conj() @ (dir24_couplings.decay @ state.amps)))
     assert abs(flux - expected) / expected < 1e-4
+
+
+def looped_detector_rows(grid, vc):
+    """Reference rows: one direction, polarization and atom branch at a time."""
+    zs = np.arange(vc.n_atoms) * vc.lattice_const
+    rows = []
+    for x in grid.cos_polar:
+        sin_th = np.sqrt(1.0 - x * x)
+        phase = np.exp(-1.0j * vc.k0 * x * zs)
+        for phi in grid.azimuths:
+            cp, sp = np.cos(phi), np.sin(phi)
+            for pol_vec in (np.array([x * cp, x * sp, -sin_th]), np.array([-sp, cp, 0.0])):
+                row = np.zeros(2 * vc.n_atoms, dtype=complex)
+                for col, s in enumerate((Polarization.PLUS, Polarization.MINUS)):
+                    amp0 = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi))
+                    row[col::2] = amp0 * (pol_vec @ DIPOLE_VECTORS[s]) * phase
+                rows.append(np.conj(row))
+    return np.array(rows)
+
+
+def test_detector_rows_match_looped_reference(dir24):
+    grid = detector_grid(dir24, n_polar=16, n_azimuth=6)
+    rows, weights = detector_rows(grid, dir24)
+    assert np.abs(rows - looped_detector_rows(grid, dir24)).max() < 1e-15
+    assert np.array_equal(weights, np.repeat(grid.node_weights(), 2))
+    state = spin_wave(dir24, n0=12, width_sq=6.0)
+    for i in (0, 7, 101, rows.shape[0] - 1):
+        node, pol_row = divmod(i, 2)
+        got = detection_probability(state, grid, dir24, node, pol_row, dt=0.5)
+        assert got == pytest.approx(0.5 * abs(rows[i] @ state.amps) ** 2, rel=1e-13)
 
 
 def test_detection_probability_consistent_with_rows(dir24):

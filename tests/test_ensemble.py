@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from atomchain.chain_model import ChainConfig
+from atomchain.chain_model import ChainConfig, with_mixing_angle
 from atomchain.ensemble import (
     EnsembleSpec,
     _ConfigRunner,
     compare_configs,
     realization_seed,
-    reciprocal_twin,
     run_ensemble,
 )
 from atomchain.hamiltonian import disorder_sample
@@ -132,7 +131,7 @@ def test_compare_configs_identical_inputs_zero_diff():
 
 def test_compare_configs_paired_draws_and_w0_column():
     spec = small_spec(n_realizations=4)
-    twin = reciprocal_twin(SMALL)
+    twin = with_mixing_angle(SMALL, 0.0)
     assert twin.mixing_angle == 0.0
     comp = compare_configs(spec, SMALL, twin)
     # no randomness at W = 0: paired spread vanishes but the means differ

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from atomchain.chain_model import GAMMA0, ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
-from atomchain.hamiltonian import (
-    assemble,
-    disorder_sample,
-    drive_hamiltonian,
-    single_atom_block,
-)
+from atomchain.hamiltonian import assemble, disorder_sample, drive_hamiltonian
+
+
+def single_atom_block(vc, site: int) -> np.ndarray:
+    """The 2x2 {plus, minus} drive block of one site."""
+    return drive_hamiltonian(vc)[2 * site : 2 * site + 2, 2 * site : 2 * site + 2]
 
 
 def test_single_atom_block_zero_angle_splitting():

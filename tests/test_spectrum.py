@@ -150,6 +150,18 @@ def test_bloch_bands_even_at_zero_angle(rec24):
     assert np.abs(fwd.lower - bwd.lower).max() < 1e-12
 
 
+def test_reciprocal_bands_even_in_k_on_every_row():
+    # the default grid holds both light lines k = +/-k0; their nudges must mirror
+    vc = validate(ChainConfig(n_atoms=205, lattice_const=0.125, mixing_angle=0.0))
+    ks = default_k_grid(vc, 1024)
+    bands = bloch_bands(vc, ks)
+    # row j sits at -k of row 1022 - j; the last row, k = pi/a, is its own mirror
+    assert np.abs(ks[:-1] + ks[-2::-1]).max() < 1e-12
+    for lam in (bands.upper, bands.lower):
+        assert np.abs(lam[:-1] - lam[-2::-1]).max() < 1e-9
+        assert lam.imag.max() < 1e-12
+
+
 def test_bloch_bands_fold_warning(dir24):
     with pytest.warns(UserWarning, match="folded"):
         bloch_bands(dir24, np.array([2.5 * np.pi / dir24.lattice_const]))
