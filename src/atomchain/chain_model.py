@@ -75,66 +75,42 @@ class ChainConfig:
     control_wavevector: float = np.pi / 5.0
     detuning: float = 0.0
 
+    @property
+    def control_wavevector_abs(self) -> float:
+        """The control wavevector in absolute units (1/LAMBDA0)."""
+        return self.control_wavevector / self.lattice_const
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """ChainConfig plus derived constants, produced by :func:`validate`.
+    @property
+    def subradiant(self) -> bool:
+        """The spacing admits strictly guided, lossless collective modes."""
+        return self.lattice_const <= SUBRADIANCE_LATTICE_LIMIT
 
-    control_wavevector_abs is the control wavevector in absolute units
-    (1/LAMBDA0), i.e. control_wavevector / lattice_const.
-    """
-
-    n_atoms: int
-    lattice_const: float
-    delta_shift: float
-    mixing_angle: float
-    control_wavevector: float
-    detuning: float
-    k0: float
-    control_wavevector_abs: float
-    subradiant: bool
-
-    def as_config(self) -> ChainConfig:
-        return ChainConfig(
-            n_atoms=self.n_atoms,
-            lattice_const=self.lattice_const,
-            delta_shift=self.delta_shift,
-            mixing_angle=self.mixing_angle,
-            control_wavevector=self.control_wavevector,
-            detuning=self.detuning,
-        )
+    @property
+    def reciprocal(self) -> bool:
+        """The Raman mixing vanishes, so transport is direction symmetric."""
+        return abs(np.sin(self.mixing_angle)) < 1e-12
 
 
-def validate(config: ChainConfig) -> ValidatedConfig:
-    """Check physicality and annotate the config with derived constants."""
+_DRIVE_FIELDS = ("delta_shift", "mixing_angle", "control_wavevector", "detuning")
+
+
+def validate(config: ChainConfig) -> ChainConfig:
+    """Check physicality; return the config with plain int/float fields."""
     if not isinstance(config.n_atoms, (int, np.integer)) or config.n_atoms < 1:
         raise ConfigError(f"n_atoms must be a positive integer, got {config.n_atoms!r}")
     if not config.lattice_const > 0.0:
         raise ConfigError(f"lattice_const must be > 0, got {config.lattice_const!r}")
-    if not np.isfinite(config.delta_shift):
-        raise ConfigError(f"delta_shift must be finite, got {config.delta_shift!r}")
-    if not np.isfinite(config.mixing_angle):
-        raise ConfigError(f"mixing_angle must be finite, got {config.mixing_angle!r}")
-    if not np.isfinite(config.control_wavevector):
-        raise ConfigError(
-            f"control_wavevector must be finite, got {config.control_wavevector!r}"
-        )
-    if not np.isfinite(config.detuning):
-        raise ConfigError(f"detuning must be finite, got {config.detuning!r}")
-    return ValidatedConfig(
+    for name in _DRIVE_FIELDS:
+        if not np.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)!r}")
+    return ChainConfig(
         n_atoms=int(config.n_atoms),
         lattice_const=float(config.lattice_const),
-        delta_shift=float(config.delta_shift),
-        mixing_angle=float(config.mixing_angle),
-        control_wavevector=float(config.control_wavevector),
-        detuning=float(config.detuning),
-        k0=K0,
-        control_wavevector_abs=float(config.control_wavevector) / float(config.lattice_const),
-        subradiant=float(config.lattice_const) <= SUBRADIANCE_LATTICE_LIMIT,
+        **{name: float(getattr(config, name)) for name in _DRIVE_FIELDS},
     )
 
 
-def positions(vc: ValidatedConfig) -> np.ndarray:
+def positions(vc: ChainConfig) -> np.ndarray:
     """Atom z coordinates z_n = n * a, strictly increasing, length n_atoms."""
     return np.arange(vc.n_atoms) * vc.lattice_const
 
@@ -186,7 +162,7 @@ def read_config(path: str | Path) -> tuple[ChainConfig, int | None]:
             raise ConfigError(f"{path}: bad value for {key}: {values[key]!r}") from exc
 
     kwargs = {"n_atoms": _num("n_atoms", int), "lattice_const": _num("lattice_const", float)}
-    for key in ("delta_shift", "mixing_angle", "control_wavevector", "detuning"):
+    for key in _DRIVE_FIELDS:
         if key in values:
             kwargs[key] = _num(key, float)
     seed = _num("seed", int) if "seed" in values else None

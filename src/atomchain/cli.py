@@ -99,7 +99,7 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> None:
     if fmt == "json":
         payload = {"columns": header, "rows": [[_coerce(v) for v in row] for row in rows]}
         with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
             fh.write("\n")
         return
     with open(path, "w", newline="\n") as fh:
@@ -109,8 +109,9 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> None:
 
 
 def _coerce(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    """JSON-native value; non-finite floats become null (JSON has no NaN)."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
     return value
@@ -156,7 +157,7 @@ def cmd_dispersion(args, vc, seed, outdir, fmt):
     checks = []
     max_im = float(max(bands.upper.imag.max(), bands.lower.imag.max()))
     checks.append(CheckResult("bands_non_amplifying", max_im <= 1e-6, max_im, 1e-6))
-    if abs(np.sin(vc.mixing_angle)) < 1e-12:
+    if vc.reciprocal:
         # grid row j sits at k = -k of row n_k - 2 - j; the last row, pi/a, is its own mirror
         asym = float(
             max(
@@ -171,15 +172,20 @@ def cmd_dispersion(args, vc, seed, outdir, fmt):
 
 def cmd_transmit(args, vc, seed, outdir, fmt):
     _require_at_least(args.n_e, 1, "--n-e")
-    couplings = build_couplings(vc)
-    h = assemble(vc, couplings)
-    half = gamma_sqrt(decay_modes(couplings))
-    energies = np.linspace(args.e_min, args.e_max, args.n_e)
+    if args.n_e > 1 and not args.e_max > args.e_min:
+        raise ConfigError(
+            f"--e-max must exceed --e-min when --n-e > 1, got {args.e_max!r} <= {args.e_min!r}"
+        )
+    _require_at_least(args.smoothing, 0.0, "--smoothing")
     source = 0 if args.source is None else args.source
     target = vc.n_atoms - 1 if args.target is None else args.target
     for site, flag in ((source, "--source"), (target, "--target")):
         if not 0 <= site < vc.n_atoms:
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
+    couplings = build_couplings(vc)
+    h = assemble(vc, couplings).matrix
+    half = gamma_sqrt(decay_modes(couplings))
+    energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(h, half, energies, source, target, smoothing_window=args.smoothing)
     name = _table_name("transmit", fmt)
     write_table(
@@ -205,7 +211,7 @@ def cmd_transmit(args, vc, seed, outdir, fmt):
     checks = []
     worst = float(scan.unitarity_defect.max())
     checks.append(CheckResult("unitarity", worst < 1e-8, worst, 1e-8))
-    if abs(np.sin(vc.mixing_angle)) < 1e-12:
+    if vc.reciprocal:
         asym = float(np.max(np.abs(scan.forward - scan.backward)))
         checks.append(CheckResult("direction_symmetry", asym < 1e-8, asym, 1e-8))
     extras = {"reciprocity_defect": reciprocity_defect(vc, couplings)}
@@ -309,7 +315,7 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
     _require_at_least(args.time, 0.0, "--time")
     observables = ("survival", "kspace_ipr", "realspace_ipr")
     spec = EnsembleSpec(
-        base_config=vc.as_config(),
+        base_config=vc,
         w_values=tuple(s * s for s in sqrt_w),
         n_realizations=args.realizations,
         master_seed=seed,
@@ -347,9 +353,7 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         extras["failures"] = result.failures
         zero_std = _zero_disorder_spread(result, sqrt_w)
     else:
-        comparison = compare_configs(
-            spec, vc.as_config(), with_mixing_angle(vc.as_config(), 0.0)
-        )
+        comparison = compare_configs(spec, vc, with_mixing_angle(vc, 0.0))
         agg_rows = dump_result(comparison.result_a, "base")
         agg_rows += dump_result(comparison.result_b, "twin")
         diff_rows = []
@@ -409,17 +413,13 @@ def cmd_verify(args, vc, seed, outdir, fmt):
     checks = []
     for angle in (0.0, np.pi / 4):
         tag = "reciprocal" if angle == 0.0 else "directional"
-        small = validate(
-            replace(vc.as_config(), n_atoms=24, mixing_angle=angle)
-        )
+        small = validate(replace(vc, n_atoms=24, mixing_angle=angle))
         couplings = build_couplings(small)
-        h = assemble(small, couplings)
-        anti = float(
-            np.max(np.abs((h.matrix - h.matrix.conj().T) + 1j * couplings.decay))
-        )
+        h = assemble(small, couplings).matrix
+        anti = float(np.max(np.abs((h - h.conj().T) + 1j * couplings.decay)))
         checks.append(CheckResult(f"{tag}_anti_hermitian", anti < 1e-12, anti, 1e-12))
 
-        eigs = np.linalg.eigvals(h.matrix)
+        eigs = np.linalg.eigvals(h)
         trace_defect = abs(float(np.sum(eigs.imag)) + small.n_atoms * GAMMA0) / (
             small.n_atoms * GAMMA0
         )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .chain_model import GAMMA0, ValidatedConfig, positions
+from .chain_model import GAMMA0, K0, ChainConfig, positions
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class CouplingMatrices:
     decay: np.ndarray
 
 
-def build_couplings(vc: ValidatedConfig) -> CouplingMatrices:
+def build_couplings(vc: ChainConfig) -> CouplingMatrices:
     """Assemble shift and decay over the flattened (site, polarization) index.
 
     The chain is translation invariant, so g is evaluated once on the
@@ -54,10 +54,10 @@ def build_couplings(vc: ValidatedConfig) -> CouplingMatrices:
     """
     n = vc.n_atoms
     r = positions(vc)[1:]
-    u = vc.k0 * r
+    u = K0 * r
     g = np.exp(1.0j * u) * (1.0 + 1.0j / u - 1.0 / u**2) / (4.0 * np.pi * r)
-    decay_block = toeplitz(np.concatenate(([GAMMA0], (6.0 * np.pi * GAMMA0 / vc.k0) * g.imag)))
-    shift_block = toeplitz(np.concatenate(([0.0], -(3.0 * np.pi * GAMMA0 / vc.k0) * g.real)))
+    decay_block = toeplitz(np.concatenate(([GAMMA0], (6.0 * np.pi * GAMMA0 / K0) * g.imag)))
+    shift_block = toeplitz(np.concatenate(([0.0], -(3.0 * np.pi * GAMMA0 / K0) * g.real)))
 
     decay = np.zeros((2 * n, 2 * n))
     shift = np.zeros((2 * n, 2 * n))

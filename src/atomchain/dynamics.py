@@ -44,9 +44,10 @@ from scipy.linalg import expm
 from .chain_model import (
     DIPOLE_VECTORS,
     GAMMA0,
+    K0,
     POLARIZATIONS,
+    ChainConfig,
     Polarization,
-    ValidatedConfig,
     positions,
 )
 from .hamiltonian import NonHermitianHamiltonian
@@ -69,7 +70,7 @@ class ExcitationState:
 
 
 def spin_wave(
-    vc: ValidatedConfig,
+    vc: ChainConfig,
     n0: int = 100,
     width_sq: float = 60.0,
     k_carrier: float = 0.0,
@@ -110,8 +111,8 @@ def spin_wave(
 class Propagator:
     """exp(-i H t) applied through the spectral decomposition of H."""
 
-    def __init__(self, h):
-        self.matrix = h.matrix if isinstance(h, NonHermitianHamiltonian) else np.asarray(h)
+    def __init__(self, h: NonHermitianHamiltonian):
+        self.matrix = h.matrix
         values, vectors = np.linalg.eig(self.matrix)
         cond = np.linalg.cond(vectors)
         if cond > _CONDITION_LIMIT:
@@ -130,9 +131,8 @@ class Propagator:
         return (vectors * np.exp(-1.0j * values * t)) @ (inverse @ amps)
 
 
-def propagate_to(state: ExcitationState, h, t: float) -> ExcitationState:
+def propagate_to(state: ExcitationState, prop: Propagator, t: float) -> ExcitationState:
     """Evolve a state to absolute time t (ground amplitude is constant)."""
-    prop = h if isinstance(h, Propagator) else Propagator(h)
     if t < state.time:
         raise ValueError(f"cannot propagate backwards: {t} < {state.time}")
     amps = prop.apply(state.amps, t - state.time)
@@ -141,7 +141,7 @@ def propagate_to(state: ExcitationState, h, t: float) -> ExcitationState:
 
 def evolve(
     state: ExcitationState,
-    h: NonHermitianHamiltonian | Propagator,
+    prop: Propagator,
     t_final: float,
     n_snapshots: int = 2,
 ) -> list[ExcitationState]:
@@ -150,7 +150,6 @@ def evolve(
         raise ValueError(f"t_final {t_final} precedes state time {state.time}")
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be >= 1")
-    prop = h if isinstance(h, Propagator) else Propagator(h)
     times = np.linspace(state.time, t_final, n_snapshots)
     return [propagate_to(state, prop, float(t)) for t in times]
 
@@ -210,7 +209,7 @@ class MomentumDistribution:
     participation_minus: float
 
 
-def momentum_distribution(state: ExcitationState, vc: ValidatedConfig) -> MomentumDistribution:
+def momentum_distribution(state: ExcitationState, vc: ChainConfig) -> MomentumDistribution:
     n = vc.n_atoms
     zs = positions(vc)
     ks = -np.pi / vc.lattice_const + 2.0 * np.pi * np.arange(n) / (n * vc.lattice_const)
@@ -238,7 +237,7 @@ def momentum_distribution(state: ExcitationState, vc: ValidatedConfig) -> Moment
 
 
 def far_field_intensity(
-    state: ExcitationState, grid_points: np.ndarray, vc: ValidatedConfig
+    state: ExcitationState, grid_points: np.ndarray, vc: ChainConfig
 ) -> np.ndarray:
     """Scattered intensity at each 3D node, exact source distances.
 
@@ -264,13 +263,13 @@ def far_field_intensity(
         amps = state.amps[0::2] if pol == Polarization.PLUS else state.amps[1::2]
         proj = rhat @ d  # (M, N)
         pattern = d[None, None, :] - rhat * proj[..., None]
-        envelope = np.exp(1.0j * vc.k0 * dist) * (node_r[:, None] / dist)
+        envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
         field += np.einsum("mn,mnc->mc", amps[None, :] * envelope, pattern)
     return np.real(np.einsum("mc,mc->m", field.conj(), field))
 
 
 def far_field_ring(
-    vc: ValidatedConfig, n_angles: int = 360, radius_factor: float = 50.0
+    vc: ChainConfig, n_angles: int = 360, radius_factor: float = 50.0
 ) -> np.ndarray:
     """Circle of map nodes in the x-z plane around the chain center.
 
@@ -287,14 +286,18 @@ def far_field_ring(
     return pts
 
 
-def edge_probes(vc: ValidatedConfig, standoff: float = 20.0) -> np.ndarray:
+def edge_probes(vc: ChainConfig, standoff: float = 20.0) -> np.ndarray:
     """Two on-axis probe nodes just beyond the chain ends, mirror symmetric."""
     length = (vc.n_atoms - 1) * vc.lattice_const
     return np.array([[0.0, 0.0, -standoff], [0.0, 0.0, length + standoff]])
 
 
 def mirror_ratio_flip(
-    state: ExcitationState, propagator, vc: ValidatedConfig, t: float, standoff: float = 20.0
+    state: ExcitationState,
+    propagator: Propagator,
+    vc: ChainConfig,
+    t: float,
+    standoff: float = 20.0,
 ) -> float:
     """|log10| of the right/left emission ratio product under site reversal.
 
@@ -307,8 +310,6 @@ def mirror_ratio_flip(
     falloff) make the probe pair comparable, so the per-point peak
     normalization of far_field_intensity is divided back out.
     """
-    if not isinstance(propagator, Propagator):
-        propagator = Propagator(propagator)
     probes = edge_probes(vc, standoff)
     geometry = np.array(
         [standoff, (vc.n_atoms - 1) * vc.lattice_const + standoff]
@@ -327,16 +328,12 @@ def mirror_ratio_flip(
 class DetectorGrid:
     """Sphere-of-directions quadrature: Gauss-Legendre polar x uniform azimuth.
 
-    weights sum to 4 pi; radius records the nominal detector distance (the
-    plane-wave rows themselves are radius independent) and far_field_valid
-    flags whether that radius dwarfs the chain length.
+    weights sum to 4 pi.  The plane-wave rows have no detector distance.
     """
 
     cos_polar: np.ndarray
     polar_weights: np.ndarray
     azimuths: np.ndarray
-    radius: float
-    far_field_valid: bool
 
     @property
     def n_nodes(self) -> int:
@@ -347,22 +344,13 @@ class DetectorGrid:
         return np.repeat(self.polar_weights * w_phi, self.azimuths.size)
 
 
-def detector_grid(
-    vc: ValidatedConfig, n_polar: int = 128, n_azimuth: int = 8, radius: float = 1e3
-) -> DetectorGrid:
+def detector_grid(vc: ChainConfig, n_polar: int = 128, n_azimuth: int = 8) -> DetectorGrid:
     cos_polar, polar_weights = leggauss(n_polar)
     azimuths = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    length = (vc.n_atoms - 1) * vc.lattice_const
-    return DetectorGrid(
-        cos_polar=cos_polar,
-        polar_weights=polar_weights,
-        azimuths=azimuths,
-        radius=float(radius),
-        far_field_valid=radius >= 50.0 * max(length, 1.0),
-    )
+    return DetectorGrid(cos_polar=cos_polar, polar_weights=polar_weights, azimuths=azimuths)
 
 
-def _jump_rows(vc: ValidatedConfig, cos_polar: np.ndarray, azimuths: np.ndarray) -> np.ndarray:
+def _jump_rows(vc: ChainConfig, cos_polar: np.ndarray, azimuths: np.ndarray) -> np.ndarray:
     """Conjugated detection rows J, one per (polar, azimuth, polarization).
 
     Node-major (polar outer, azimuth inner), theta_hat polarization before
@@ -376,12 +364,12 @@ def _jump_rows(vc: ValidatedConfig, cos_polar: np.ndarray, azimuths: np.ndarray)
     dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
     # (polar, azimuth, polarization, source polarization)
     amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
-    phase = np.exp(-1.0j * vc.k0 * x * positions(vc))
+    phase = np.exp(-1.0j * K0 * x * positions(vc))
     rows = amp[:, :, :, None, :] * phase[:, None, None, :, None]
     return np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
 
 
-def detector_rows(grid: DetectorGrid, vc: ValidatedConfig) -> tuple[np.ndarray, np.ndarray]:
+def detector_rows(grid: DetectorGrid, vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Jump rows (n_nodes * 2 polarizations, 2 N) and matching node weights.
 
     Row order: node-major (polar outer, azimuth inner), theta_hat
@@ -394,7 +382,7 @@ def detector_rows(grid: DetectorGrid, vc: ValidatedConfig) -> tuple[np.ndarray, 
 def detection_probability(
     state: ExcitationState,
     grid: DetectorGrid,
-    vc: ValidatedConfig,
+    vc: ChainConfig,
     node: int,
     polarization: int,
     dt: float,
@@ -418,7 +406,7 @@ def detection_probability(
 
 
 def total_detection_rate(
-    state: ExcitationState, grid: DetectorGrid, vc: ValidatedConfig
+    state: ExcitationState, grid: DetectorGrid, vc: ChainConfig
 ) -> float:
     """Quadrature of |J amps|^2 over all directions and polarizations."""
     rows, weights = detector_rows(grid, vc)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import ChainConfig, ValidatedConfig, validate
+from .chain_model import ChainConfig, validate
 from .collective_couplings import build_couplings
 from .dynamics import (
     Propagator,
@@ -93,7 +93,7 @@ class EnsembleResult:
     transparency_window: float = float("nan")
 
 
-def _cell_scalars(vc: ValidatedConfig, state) -> dict[str, float]:
+def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
     mom = momentum_distribution(state, vc)
     site_ipr, site_part = site_participation(state)
     return {
@@ -158,8 +158,9 @@ def _aggregate(values: np.ndarray) -> np.ndarray:
 def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> EnsembleResult:
     """Sweep disorder variances with n_realizations seeded draws each.
 
-    W = 0 cells share one deterministic computation (all realizations are
-    identical by construction).  Individual cell failures are recorded and
+    Each W = 0 entry is one cell that fills every realization slot (zero
+    disorder is seed independent); each W > 0 entry is one cell per draw.
+    Individual cell failures are recorded for every slot they cover and
     skipped; more than 5 percent failing aborts the run.
     """
     from .spectrum import transparency_window
@@ -170,40 +171,27 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
     array_store: dict[str, np.ndarray] = {}
     failures: list[tuple[int, int, str]] = []
 
-    def compute(wi: int, ri: int):
-        w = spec.w_values[wi]
-        disorder = disorder_sample(
-            realization_seed(spec.master_seed, wi, ri),
-            w,
-            runner.vc.n_atoms,
-            shape=spec.disorder_shape,
-        )
-        return runner.run_cell(disorder)
-
-    cells: list[tuple[int, int]] = []
+    # a cell is (w_index, the realization slots it fills)
+    cells = []
     for wi, w in enumerate(spec.w_values):
         if w == 0.0:
-            # one computation, replicated: zero disorder is seed independent
-            try:
-                cell_scalars, cell_arrays = runner.run_cell(None)
-            except Exception as exc:  # recorded, not raised, like any other cell
-                msg = f"{type(exc).__name__}: {exc}"
-                failures.extend((wi, ri, msg) for ri in range(n_r))
-                continue
-            for name, val in cell_scalars.items():
-                scalars[name][wi, :] = val
-            for name, arr in cell_arrays.items():
-                store = array_store.setdefault(
-                    name, np.full((n_w, n_r) + arr.shape, np.nan)
-                )
-                store[wi, :] = arr
+            cells.append((wi, range(n_r)))
         else:
-            cells.extend((wi, ri) for ri in range(n_r))
+            cells.extend((wi, range(ri, ri + 1)) for ri in range(n_r))
 
     def worker(cell):
-        wi, ri = cell
+        wi, slots = cell
+        w = spec.w_values[wi]
         try:
-            return cell, compute(wi, ri), None
+            disorder = None
+            if w > 0.0:
+                disorder = disorder_sample(
+                    realization_seed(spec.master_seed, wi, slots[0]),
+                    w,
+                    runner.vc.n_atoms,
+                    shape=spec.disorder_shape,
+                )
+            return cell, runner.run_cell(disorder), None
         except Exception as exc:  # recorded, not raised: partial ensembles are useful
             return cell, None, f"{type(exc).__name__}: {exc}"
 
@@ -213,16 +201,16 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
     else:
         outcomes = [worker(c) for c in cells]
 
-    for (wi, ri), payload, err in outcomes:
+    for (wi, slots), payload, err in outcomes:
         if err is not None:
-            failures.append((wi, ri, err))
+            failures.extend((wi, ri, err) for ri in slots)
             continue
         cell_scalars, cell_arrays = payload
         for name, val in cell_scalars.items():
-            scalars[name][wi, ri] = val
+            scalars[name][wi, slots] = val
         for name, arr in cell_arrays.items():
             store = array_store.setdefault(name, np.full((n_w, n_r) + arr.shape, np.nan))
-            store[wi, ri] = arr
+            store[wi, slots] = arr
 
     total_cells = n_w * n_r
     if len(failures) > _FAILURE_FRACTION_LIMIT * total_cells:

@@ -11,12 +11,11 @@ the identity behind S-matrix unitarity.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import ValidatedConfig
+from .chain_model import ChainConfig
 from .collective_couplings import CouplingMatrices
 
 DISORDER_SHAPES = ("uniform", "gaussian")
@@ -33,11 +32,12 @@ class DisorderRealization:
 
 @dataclass(frozen=True)
 class NonHermitianHamiltonian:
+    """The assembled H; `matrix` is the dense 2N x 2N array."""
+
     matrix: np.ndarray
-    config_fingerprint: str
 
 
-def _drive_terms(vc: ValidatedConfig) -> tuple[float, float, float]:
+def _drive_terms(vc: ChainConfig) -> tuple[float, float, float]:
     """On-site energies (eps_plus, eps_minus) and the Raman coupling magnitude.
 
     eps_s = (detuning + delta) - (delta/4) * (1 - s*cos(theta)), so the bare
@@ -51,7 +51,7 @@ def _drive_terms(vc: ValidatedConfig) -> tuple[float, float, float]:
     return eps_plus, eps_minus, (delta / 4.0) * np.sin(theta)
 
 
-def drive_hamiltonian(vc: ValidatedConfig) -> np.ndarray:
+def drive_hamiltonian(vc: ChainConfig) -> np.ndarray:
     """Hermitian block-diagonal drive: one 2x2 {plus, minus} block per site.
 
     The diagonal holds the on-site energies; the (plus, minus) entry holds
@@ -93,15 +93,8 @@ def disorder_sample(seed, w: float, n_atoms: int, shape: str = "uniform") -> Dis
     return DisorderRealization(seed=seed, energies=energies, variance_w=float(w))
 
 
-def _fingerprint(vc: ValidatedConfig, disorder: DisorderRealization | None) -> str:
-    h = hashlib.sha256(repr(vc).encode())
-    if disorder is not None:
-        h.update(np.ascontiguousarray(disorder.energies).tobytes())
-    return h.hexdigest()[:16]
-
-
 def assemble(
-    vc: ValidatedConfig,
+    vc: ChainConfig,
     couplings: CouplingMatrices,
     disorder: DisorderRealization | None = None,
 ) -> NonHermitianHamiltonian:
@@ -118,4 +111,4 @@ def assemble(
                 f"disorder has {disorder.energies.shape[0]} sites, config has {vc.n_atoms}"
             )
         h[np.diag_indices_from(h)] += np.repeat(disorder.energies, 2)
-    return NonHermitianHamiltonian(matrix=h, config_fingerprint=_fingerprint(vc, disorder))
+    return NonHermitianHamiltonian(matrix=h)

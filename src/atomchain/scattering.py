@@ -24,10 +24,10 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.ndimage import uniform_filter1d
 
-from .chain_model import GAMMA0, ValidatedConfig, flatten_index
+from .chain_model import GAMMA0, ChainConfig, flatten_index
 from .collective_couplings import CouplingMatrices
 from .dynamics import detector_grid, detector_rows
-from .hamiltonian import NonHermitianHamiltonian, drive_hamiltonian
+from .hamiltonian import drive_hamiltonian
 from .spectrum import NormalModes, decay_modes
 
 _RESIDUAL_LIMIT = 1e-6
@@ -37,24 +37,19 @@ class ResolventSingularity(ArithmeticError):
     """Linear solve at this energy is too ill conditioned to trust."""
 
 
-def _as_matrix(h) -> np.ndarray:
-    return h.matrix if isinstance(h, NonHermitianHamiltonian) else np.asarray(h)
-
-
 def gamma_sqrt(modes: NormalModes) -> np.ndarray:
     """Hermitian PSD square root of the decay matrix from its eigensystem."""
     v = modes.vectors
     return (v * np.sqrt(modes.rates)) @ v.conj().T
 
 
-def t_matrix(energy: float, h, gamma_half: np.ndarray) -> np.ndarray:
-    """Full scattering t matrix at one (real) energy.
+def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray:
+    """Full scattering t matrix at one (real) energy; h is the matrix of H.
 
     Never forms a dense inverse: one LU factorization of E - H is reused
     for every column of sqrt(gamma), then refined once.
     """
-    matrix = _as_matrix(h)
-    a = energy * np.eye(matrix.shape[0], dtype=complex) - matrix
+    a = energy * np.eye(h.shape[0], dtype=complex) - h
     lu = lu_factor(a)
     x = lu_solve(lu, gamma_half)
     if not np.all(np.isfinite(x)):
@@ -80,23 +75,22 @@ class SMatrixResult:
     unitarity_defect: float
 
 
-def s_matrix(energy: float, h, gamma_half: np.ndarray) -> SMatrixResult:
+def s_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> SMatrixResult:
     t = t_matrix(energy, h, gamma_half)
     s = np.eye(t.shape[0], dtype=complex) - 1j * t
     defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
     return SMatrixResult(energy=energy, matrix=s, unitarity_defect=float(defect))
 
 
-def transmittance(s: SMatrixResult | np.ndarray, source_site: int, target_site: int) -> float:
+def transmittance(s: SMatrixResult, source_site: int, target_site: int) -> float:
     """Polarization-summed channel weight from source_site to target_site.
 
     Sums |S|^2 over both input and both output internal states, so the
     diagonal (source == target) tends to 2 far off resonance.
     """
-    matrix = s.matrix if isinstance(s, SMatrixResult) else s
     rows = [flatten_index(target_site, p) for p in (+1, -1)]
     cols = [flatten_index(source_site, p) for p in (+1, -1)]
-    block = matrix[np.ix_(rows, cols)]
+    block = s.matrix[np.ix_(rows, cols)]
     return float(np.sum(np.abs(block) ** 2))
 
 
@@ -119,7 +113,7 @@ def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 def spectrum_scan(
-    h,
+    h: np.ndarray,
     gamma_half: np.ndarray,
     energies: np.ndarray,
     source_site: int,
@@ -157,7 +151,7 @@ def spectrum_scan(
     )
 
 
-def reciprocity_defect(vc: ValidatedConfig, couplings: CouplingMatrices) -> float:
+def reciprocity_defect(vc: ChainConfig, couplings: CouplingMatrices) -> float:
     """Normalized commutator of the drive with the decay matrix.
 
     The photon-mediated shift and decay parts are both symmetric under
@@ -186,7 +180,7 @@ class EquivalenceReport:
 
 
 def representation_equivalence_check(
-    vc: ValidatedConfig,
+    vc: ChainConfig,
     couplings: CouplingMatrices,
     n_polar: int = 128,
     n_azimuth: int = 8,

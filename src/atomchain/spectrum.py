@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .chain_model import GAMMA0, ValidatedConfig
+from .chain_model import GAMMA0, K0, ChainConfig
 from .collective_couplings import CouplingMatrices
 from .hamiltonian import NonHermitianHamiltonian, _drive_terms
 
@@ -89,7 +89,7 @@ def lattice_sum(p: int, q: float) -> complex:
     return complex(re, im)
 
 
-def coupling_fourier_sum(q: float, vc: ValidatedConfig) -> complex:
+def coupling_fourier_sum(q: float, vc: ChainConfig) -> complex:
     """Lattice Fourier transform of the same-polarization pair coupling.
 
     F(q) = Sum_{d != 0} (shift(d) - i decay(d)/2) e^{iqd}; with the scalar
@@ -97,10 +97,10 @@ def coupling_fourier_sum(q: float, vc: ValidatedConfig) -> complex:
     imaginary part vanishes identically for folded |q| > k0 (guided zone).
     """
     a = vc.lattice_const
-    u = vc.k0 * a
+    u = K0 * a
     total = 0.0 + 0.0j
     for sign in (+1.0, -1.0):
-        phi = (vc.k0 + sign * q) * a
+        phi = (K0 + sign * q) * a
         total += (
             lattice_sum(1, phi) / u
             + 1.0j * lattice_sum(2, phi) / u**2
@@ -141,12 +141,7 @@ def complex_spectrum(h: NonHermitianHamiltonian) -> tuple[np.ndarray, np.ndarray
     Sorted by real part.  All imaginary parts are non-positive because the
     decay matrix is PSD.
     """
-    try:
-        values, vectors = np.linalg.eig(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigensolver failed for Hamiltonian {h.config_fingerprint}"
-        ) from exc
+    values, vectors = np.linalg.eig(h.matrix)
     order = np.argsort(values.real, kind="stable")
     return values[order], vectors[:, order]
 
@@ -167,28 +162,28 @@ class BlochBands:
     polarization_weight_upper: np.ndarray
 
 
-def default_k_grid(vc: ValidatedConfig, n_points: int = 1024) -> np.ndarray:
+def default_k_grid(vc: ChainConfig, n_points: int = 1024) -> np.ndarray:
     """Uniform quasimomentum grid over (-pi/a, pi/a], endpoint included."""
     a = vc.lattice_const
     return -np.pi / a + 2.0 * np.pi * np.arange(1, n_points + 1) / (n_points * a)
 
 
-def chain_k_grid(vc: ValidatedConfig) -> np.ndarray:
+def chain_k_grid(vc: ChainConfig) -> np.ndarray:
     """The finite chain's own n_atoms-point quasimomentum grid on (-pi/a, pi/a]."""
     n, a = vc.n_atoms, vc.lattice_const
     return -np.pi / a + 2.0 * np.pi * (np.arange(n) + 1.0) / (n * a)
 
 
-def _gauge_shift(vc: ValidatedConfig) -> float:
+def _gauge_shift(vc: ChainConfig) -> float:
     # At theta = n*pi the Raman phases drop out of the Hamiltonian entirely,
     # so the physical chain is analyzed in the bare frame (no gauge shift)
     # and the bands are even in k, as reciprocity demands.
-    if np.isclose(np.sin(vc.mixing_angle), 0.0, atol=1e-15):
+    if vc.reciprocal:
         return 0.0
     return vc.control_wavevector_abs
 
 
-def bloch_bands(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> BlochBands:
+def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands:
     """Diagonalize the gauge-frame 2x2 Bloch matrix on the k grid.
 
     Quasimomenta outside (-pi/a, pi/a] are folded back with a warning.
@@ -239,7 +234,7 @@ def bloch_bands(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> BlochB
 
 
 def transparency_window(
-    vc: ValidatedConfig,
+    vc: ChainConfig,
     k_grid: np.ndarray | None = None,
     branch: str = "upper",
     im_tol: float = 1e-9,
@@ -265,7 +260,7 @@ def transparency_window(
     return float(re.max() - re.min())
 
 
-def guided_group_velocity(vc: ValidatedConfig, k_grid: np.ndarray | None = None) -> float:
+def guided_group_velocity(vc: ChainConfig, k_grid: np.ndarray | None = None) -> float:
     """Max |d Re(band)/dk| over the guided sections of both branches.
 
     Used to convert chain distances into traversal times for spin-wave

@@ -80,10 +80,10 @@ def scans(chains):
     return {
         "energies": energies,
         "rec": spectrum_scan(
-            chains["rec"]["h"], chains["rec"]["half"], energies, 0, N_FULL - 1
+            chains["rec"]["h"].matrix, chains["rec"]["half"], energies, 0, N_FULL - 1
         ),
         "dir": spectrum_scan(
-            chains["dir"]["h"], chains["dir"]["half"], energies, 0, N_FULL - 1
+            chains["dir"]["h"].matrix, chains["dir"]["half"], energies, 0, N_FULL - 1
         ),
     }
 
@@ -114,7 +114,7 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains):
                     )
                 energies = np.random.default_rng(1000 + case).uniform(-4.0, 10.0, 100)
                 for energy in energies:
-                    defect = s_matrix(float(energy), h, half).unitarity_defect
+                    defect = s_matrix(float(energy), h.matrix, half).unitarity_defect
                     worst = max(worst, defect)
     report(
         "scattering matrix unitarity",
@@ -318,7 +318,7 @@ def test_numerical_anchors():
     vals, vecs = np.linalg.eig(h.matrix)
     resolvent = vecs @ np.diag(1.0 / (energy - vals)) @ np.linalg.inv(vecs)
     t_spectral = half @ resolvent @ half
-    t_err = float(np.max(np.abs(t_matrix(energy, h, half) - t_spectral)))
+    t_err = float(np.max(np.abs(t_matrix(energy, h.matrix, half) - t_spectral)))
 
     vc2 = validate(ChainConfig(n_atoms=2, lattice_const=LATTICE, mixing_angle=0.0))
     c2 = build_couplings(vc2)

@@ -95,7 +95,7 @@ def test_control_wavevector_per_site_scaling():
 
 def test_as_config_round_trip():
     cfg = ChainConfig(n_atoms=9, lattice_const=0.2, mixing_angle=0.4, detuning=-0.3)
-    assert validate(cfg).as_config() == cfg
+    assert validate(cfg) == cfg
 
 
 def test_with_mixing_angle():

@@ -157,6 +157,36 @@ def test_disorder_paired_outputs(tmp_path):
     assert any(line.startswith("twin,") for line in agg[1:])
 
 
+def test_near_zero_mixing_angle_bands_are_even(tmp_path):
+    # the gauge frame and the self-check must agree on which chains are reciprocal
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=1e-13)
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", cfg, "--out", str(out), "--n-k", "64"]) == 0
+    checks = {c["name"]: c for c in read_manifest(out)["self_checks"]}
+    assert checks["bands_even_in_k"]["passed"]
+
+
+def test_json_tables_are_strict(tmp_path):
+    # the W = 0 paired z-scores are undefined; JSON has no NaN token, so they read null
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=10, mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(
+        ["disorder", "--config", cfg, "--out", str(out), "--sqrt-w", "0,0.7",
+         "--realizations", "3", "--time", "1.0", "--format", "json"]
+    )
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    tables = {}
+    for name in read_manifest(out)["outputs"]:
+        with open(out / name) as fh:
+            tables[name] = json.load(fh, parse_constant=reject)
+    z = [row[4] for row in tables["paired_diff.json"]["rows"] if row[1] == 0.0]
+    assert z and all(value is None for value in z)
+
+
 def test_disorder_single_mode(tmp_path):
     cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=10)
     out = tmp_path / "out"
@@ -310,6 +340,10 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("dispersion", ["--n-k", "0"], "--n-k"),
         ("disorder", ["--time", "-1"], "--time"),
         ("disorder", ["--realizations", "0"], "--realizations"),
+        ("transmit", ["--e-min", "1", "--e-max", "1", "--n-e", "5"], "--e-max"),
+        ("transmit", ["--e-min", "3", "--e-max", "1", "--smoothing", "1.0"], "--e-max"),
+        ("transmit", ["--smoothing", "-0.5"], "--smoothing"),
+        ("transmit", ["--target", "12", "--n-e", "5"], "--target"),
     ],
 )
 def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):

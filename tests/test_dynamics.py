@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from atomchain.chain_model import DIPOLE_VECTORS, GAMMA0, ChainConfig, Polarization, validate
+from atomchain.chain_model import DIPOLE_VECTORS, GAMMA0, K0, ChainConfig, Polarization, validate
 from atomchain.collective_couplings import build_couplings
-from atomchain.hamiltonian import assemble
+from atomchain.hamiltonian import NonHermitianHamiltonian, assemble
 from atomchain.dynamics import (
     ExcitationState,
     Propagator,
@@ -153,6 +154,20 @@ def test_mirror_state_involution(dir24):
     assert mirror_state(state).norm == pytest.approx(state.norm, abs=1e-15)
 
 
+def test_propagator_falls_back_to_expm_for_defective_h():
+    # a Jordan block: the eigenvector matrix is numerically singular (cond ~ 1e16)
+    matrix = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
+    with pytest.warns(UserWarning, match="condition number"):
+        prop = Propagator(NonHermitianHamiltonian(matrix=matrix))
+    state = ExcitationState(ground_amp=0.0, amps=np.array([0.3, 0.8j]), time=0.0)
+    for t in (0.5, 2.0):
+        got = propagate_to(state, prop, t).amps
+        assert np.abs(got - expm(-1.0j * matrix * t) @ state.amps).max() < 1e-14
+        # closed form for the Jordan block: exp(-t/2) (1 - i t N)
+        closed = np.exp(-0.5 * t) * np.array([[1.0, -1.0j * t], [0.0, 1.0]]) @ state.amps
+        assert np.abs(got - closed).max() < 1e-14
+
+
 def test_mirror_covariance_dichotomy(rec24, dir24, rec24_prop, dir24_prop):
     for vc, prop, limit, should_pass in (
         (rec24, rec24_prop, 1e-9, True),
@@ -217,7 +232,6 @@ def test_edge_probes_positions(dir24):
 def test_detector_grid_weights(dir24):
     grid = detector_grid(dir24, n_polar=32, n_azimuth=8)
     assert grid.node_weights().sum() == pytest.approx(4 * np.pi, rel=1e-12)
-    assert grid.far_field_valid
 
 
 def test_single_atom_detector_integral_recovers_linewidth():
@@ -240,7 +254,7 @@ def looped_detector_rows(grid, vc):
     rows = []
     for x in grid.cos_polar:
         sin_th = np.sqrt(1.0 - x * x)
-        phase = np.exp(-1.0j * vc.k0 * x * zs)
+        phase = np.exp(-1.0j * K0 * x * zs)
         for phi in grid.azimuths:
             cp, sp = np.cos(phi), np.sin(phi)
             for pol_vec in (np.array([x * cp, x * sp, -sin_th]), np.array([-sp, cp, 0.0])):

@@ -156,16 +156,6 @@ def test_disorder_shifts_both_branches_identically(dir24, dir24_couplings):
     assert np.all(diff == 0.0)
 
 
-def test_fingerprint_tracks_config_and_disorder(dir24, rec24, dir24_couplings, rec24_couplings):
-    plain = assemble(dir24, dir24_couplings)
-    again = assemble(dir24, dir24_couplings)
-    other = assemble(rec24, rec24_couplings)
-    noisy = assemble(dir24, dir24_couplings, disorder_sample(0, 0.2, dir24.n_atoms))
-    assert plain.config_fingerprint == again.config_fingerprint
-    assert plain.config_fingerprint != other.config_fingerprint
-    assert plain.config_fingerprint != noisy.config_fingerprint
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_disorder_sample_bounds_property(seed):
     w = 0.8
