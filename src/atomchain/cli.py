@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -123,9 +123,12 @@ def _table_name(stem: str, fmt: str) -> str:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma separated numbers, got {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{flag} expects at least one number, got {text!r}")
+    return values
 
 
 # ----------------------------------------------------------------- commands
@@ -228,6 +231,7 @@ def _default_times(vc, n0: int) -> list[float]:
 
 
 def cmd_evolve(args, vc, seed, outdir, fmt):
+    _require_at_least(args.n_angles, 1, "--n-angles")
     n0 = min(100, vc.n_atoms // 2) if args.n0 is None else args.n0
     try:
         state0 = spin_wave(
@@ -562,15 +566,7 @@ def main(argv=None) -> int:
     manifest = {
         "subcommand": args.command,
         "package_version": __version__,
-        "config": {
-            "n_atoms": vc.n_atoms,
-            "lattice_const": vc.lattice_const,
-            "delta_shift": vc.delta_shift,
-            "mixing_angle": vc.mixing_angle,
-            "control_wavevector": vc.control_wavevector,
-            "detuning": vc.detuning,
-            "gamma0": GAMMA0,
-        },
+        "config": {**asdict(vc), "gamma0": GAMMA0},
         "seed": seed,
         "threads": args.threads,
         "format": fmt,

@@ -344,7 +344,7 @@ class DetectorGrid:
         return np.repeat(self.polar_weights * w_phi, self.azimuths.size)
 
 
-def detector_grid(vc: ChainConfig, n_polar: int = 128, n_azimuth: int = 8) -> DetectorGrid:
+def detector_grid(n_polar: int = 128, n_azimuth: int = 8) -> DetectorGrid:
     cos_polar, polar_weights = leggauss(n_polar)
     azimuths = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     return DetectorGrid(cos_polar=cos_polar, polar_weights=polar_weights, azimuths=azimuths)

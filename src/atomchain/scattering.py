@@ -198,7 +198,7 @@ def representation_equivalence_check(
     scale = np.max(np.abs(decay))
     normal_mode_defect = float(np.max(np.abs(normal_mode - decay)) / scale)
 
-    grid = detector_grid(vc, n_polar=n_polar, n_azimuth=n_azimuth)
+    grid = detector_grid(n_polar=n_polar, n_azimuth=n_azimuth)
     rows, weights = detector_rows(grid, vc)
     detector = rows.conj().T @ (weights[:, None] * rows)
     detector_defect = float(np.max(np.abs(detector - decay)) / scale)

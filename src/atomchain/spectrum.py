@@ -12,8 +12,9 @@ polylogarithms Li_p(e^{iq}).  They are evaluated in closed form:
 
 The Clausen series converge geometrically for q <= pi; the reflection
 q -> 2 pi - q (Cl_2 odd, Cl_3 even about pi) covers the rest of the circle.
-Everything here is plain float64 numpy; the test suite pins these closed
-forms against mpmath and against 10^7-term compensated direct summation.
+Everything here is plain float64 numpy and elementwise in q, so a whole k
+grid is one array pass; the test suite pins these closed forms against
+mpmath and against 10^7-term compensated direct summation.
 
 Bloch analysis works in the gauge frame c~_{ns} = e^{+i s k_c z_n} c_{ns},
 which makes the Raman drive site independent and shifts the polarization-s
@@ -22,7 +23,11 @@ entries eps_s - i/2 + F(k - s*k_c) and constant off-diagonal
 (delta/4) sin(theta), where F is the coupling Fourier sum.  A mode radiates
 only where a populated polarization lies inside the light cone
 |k - s*k_c| <= k0 (momenta folded to the first Brillouin zone); beyond it
-the imaginary part vanishes identically and the mode is guided.
+the imaginary part vanishes identically and the mode is guided.  bloch_bands
+nudges light-line momenta off the p = 1 divergence first, then evaluates F
+over the (n_k, 2) momentum array and diagonalizes the stacked 2x2 matrices
+in one call; tests/test_spectrum.py keeps the per-k scalar loop as its
+reference.
 """
 
 from __future__ import annotations
@@ -31,66 +36,66 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import xlogy, zeta
 
 from .chain_model import GAMMA0, K0, ChainConfig
 from .collective_couplings import CouplingMatrices
 from .hamiltonian import NonHermitianHamiltonian, _drive_terms
 
-# zeta(2m) table for the Clausen series; (q/2pi)^(2m) <= 4^-m at q <= pi,
-# so 55 terms leave the remainder far below 1e-16.
-_ZETA_EVEN = zeta(2.0 * np.arange(1, 56))
+# zeta(2m) / (m (2m+1) (2pi)^(2m)) for the Clausen series; (q/2pi)^(2m) <= 4^-m
+# at q <= pi, so 55 terms leave the remainder far below 1e-16.
+_M = np.arange(1, 56)
+_CL2_COEF = zeta(2.0 * _M) / (_M * (2 * _M + 1) * (2.0 * np.pi) ** (2 * _M))
 _PSD_TOL = 1e-10
+# |Im| below which a Bloch point counts as dark (guided, lossless)
+_DARK_TOL = 1e-9
 
 
 class LatticeSumDivergence(ValueError):
     """Li_1 diverges on the light line (phase a multiple of 2 pi)."""
 
 
-def _clausen2(q: float) -> float:
-    # Cl_2(q) = q - q log q + sum_m zeta(2m) q^(2m+1) / (m (2m+1) (2pi)^(2m)), 0 < q <= pi
-    if q == 0.0:
-        return 0.0
-    m = np.arange(1, 56)
-    terms = _ZETA_EVEN * q ** (2 * m + 1) / (m * (2 * m + 1) * (2.0 * np.pi) ** (2 * m))
-    return q - q * np.log(q) + float(terms.sum())
+def _clausen2(q: np.ndarray) -> np.ndarray:
+    # Cl_2(q) = q - q log q + sum_m zeta(2m) q^(2m+1) / (m (2m+1) (2pi)^(2m)), 0 <= q <= pi
+    q = np.asarray(q, dtype=float)
+    return q - xlogy(q, q) + (_CL2_COEF * q[..., None] ** (2 * _M + 1)).sum(axis=-1)
 
 
-def _clausen3(q: float) -> float:
+def _clausen3(q: np.ndarray) -> np.ndarray:
     # Cl_3(q) = zeta(3) - 3 q^2/4 + (q^2/2) log q
     #           - sum_m zeta(2m) q^(2m+2) / (m (2m+1) (2m+2) (2pi)^(2m)), 0 <= q <= pi
-    z3 = float(zeta(3.0))
-    if q == 0.0:
-        return z3
-    m = np.arange(1, 56)
-    terms = _ZETA_EVEN * q ** (2 * m + 2) / (m * (2 * m + 1) * (2 * m + 2) * (2.0 * np.pi) ** (2 * m))
-    return z3 - 0.75 * q * q + 0.5 * q * q * np.log(q) - float(terms.sum())
+    q = np.asarray(q, dtype=float)
+    series = (_CL2_COEF / (2 * _M + 2) * q[..., None] ** (2 * _M + 2)).sum(axis=-1)
+    return float(zeta(3.0)) - 0.75 * q * q + 0.5 * q * xlogy(q, q) - series
 
 
-def lattice_sum(p: int, q: float) -> complex:
-    """Sum_{d=1}^inf e^{iqd} / d^p = Li_p(e^{iq}) for p in {1, 2, 3}.
+def lattice_sum(p: int, q: float | np.ndarray) -> complex | np.ndarray:
+    """Sum_{d=1}^inf e^{iqd} / d^p = Li_p(e^{iq}) for p in {1, 2, 3}, elementwise.
 
     Absolute error below 1e-10 everywhere except the p = 1 divergence at
-    q = 0 (mod 2 pi), which raises LatticeSumDivergence.
+    q = 0 (mod 2 pi), which raises LatticeSumDivergence if any element
+    lies on it.
     """
     if p not in (1, 2, 3):
         raise ValueError(f"lattice_sum supports p in {{1, 2, 3}}, got {p!r}")
-    phi = float(np.mod(q, 2.0 * np.pi))
+    phi = np.mod(q, 2.0 * np.pi)
     if p == 1:
-        if phi == 0.0:
+        if np.any(phi == 0.0):
             raise LatticeSumDivergence("Li_1(e^{iq}) diverges at q = 0 mod 2 pi")
-        return -complex(np.log(1.0 - np.exp(1.0j * phi)))
+        return -np.log(1.0 - np.exp(1.0j * phi))
+    # reflection q -> 2 pi - q keeps the Clausen series on 0 <= q <= pi
+    low = phi <= np.pi
+    reflected = np.where(low, phi, 2.0 * np.pi - phi)
     if p == 2:
         re = np.pi**2 / 6.0 - np.pi * phi / 2.0 + phi**2 / 4.0
-        im = _clausen2(phi) if phi <= np.pi else -_clausen2(2.0 * np.pi - phi)
-        return complex(re, im)
-    re = _clausen3(phi) if phi <= np.pi else _clausen3(2.0 * np.pi - phi)
+        cl2 = _clausen2(reflected)
+        return re + 1.0j * np.where(low, cl2, -cl2)
     im = np.pi**2 * phi / 6.0 - np.pi * phi**2 / 4.0 + phi**3 / 12.0
-    return complex(re, im)
+    return _clausen3(reflected) + 1.0j * im
 
 
-def coupling_fourier_sum(q: float, vc: ChainConfig) -> complex:
-    """Lattice Fourier transform of the same-polarization pair coupling.
+def coupling_fourier_sum(q: float | np.ndarray, vc: ChainConfig) -> complex | np.ndarray:
+    """Lattice Fourier transform of the same-polarization pair coupling, elementwise in q.
 
     F(q) = Sum_{d != 0} (shift(d) - i decay(d)/2) e^{iqd}; with the scalar
     transverse kernel this reduces to polylogarithms of (k0 +/- q) a.  The
@@ -187,11 +192,13 @@ def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands
     """Diagonalize the gauge-frame 2x2 Bloch matrix on the k grid.
 
     Quasimomenta outside (-pi/a, pi/a] are folded back with a warning.
-    Grid points whose shifted momentum lands exactly on a light line are
+    The shifted momenta q = k - s*k_c form one (n_k, 2) array, a column per
+    polarization.  Points where q lands exactly on a light line are first
     nudged by 1e-9/a toward the inside of the light cone, to sidestep the
     logarithmic divergence of the p = 1 lattice sum; the nudge is far below
     any band feature of interest, and mirror-image points +/-q get mirror
-    nudges, so reciprocal bands stay even in k.
+    nudges, so reciprocal bands stay even in k.  The Fourier sums and the
+    stacked 2x2 eigenproblems are then evaluated over the whole array at once.
     """
     if k_grid is None:
         k_grid = default_k_grid(vc)
@@ -203,27 +210,22 @@ def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands
     if not np.allclose(folded, k_grid):
         warnings.warn("quasimomenta outside (-pi/a, pi/a] were folded back")
 
-    kc = _gauge_shift(vc)
     eps_plus, eps_minus, coupling = _drive_terms(vc)
+    q = folded[:, None] - np.array([1.0, -1.0]) * _gauge_shift(vc)
+    on_light_line = (np.mod((K0 + q) * a, 2.0 * np.pi) == 0.0) | (
+        np.mod((K0 - q) * a, 2.0 * np.pi) == 0.0
+    )
+    inward = np.copysign(1e-9 / a, np.mod(q + np.pi / a, bz) - np.pi / a)
+    q = np.where(on_light_line, q - inward, q)
+    diag = np.array([eps_plus, eps_minus]) - 0.5j * GAMMA0 + coupling_fourier_sum(q, vc)
 
-    nk = folded.size
-    lam = np.empty((nk, 2), dtype=complex)
-    weight_plus = np.empty((nk, 2))
-    for i, k in enumerate(folded):
-        diag = []
-        for s, eps in ((+1.0, eps_plus), (-1.0, eps_minus)):
-            q = k - s * kc
-            try:
-                f = coupling_fourier_sum(q, vc)
-            except LatticeSumDivergence:
-                inward = np.copysign(1e-9 / a, np.mod(q + np.pi / a, bz) - np.pi / a)
-                f = coupling_fourier_sum(q - inward, vc)
-            diag.append(eps - 0.5j * GAMMA0 + f)
-        mat = np.array([[diag[0], coupling], [coupling, diag[1]]])
-        values, vectors = np.linalg.eig(mat)
-        order = np.argsort(values.real)
-        lam[i] = values[order]
-        weight_plus[i] = np.abs(vectors[0, order]) ** 2
+    mat = np.empty((folded.size, 2, 2), dtype=complex)
+    mat[:, 0, 0], mat[:, 1, 1] = diag[:, 0], diag[:, 1]
+    mat[:, 0, 1] = mat[:, 1, 0] = coupling
+    values, vectors = np.linalg.eig(mat)
+    order = np.argsort(values.real, axis=1)
+    lam = np.take_along_axis(values, order, axis=1)
+    weight_plus = np.take_along_axis(np.abs(vectors[:, 0, :]) ** 2, order, axis=1)
     return BlochBands(
         k_grid=folded,
         lower=lam[:, 0],
@@ -233,45 +235,33 @@ def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands
     )
 
 
-def transparency_window(
-    vc: ChainConfig,
-    k_grid: np.ndarray | None = None,
-    branch: str = "upper",
-    im_tol: float = 1e-9,
-) -> float:
-    """Width of the guided (lossless) section of one Bloch branch.
+def transparency_window(vc: ChainConfig) -> float:
+    """Width of the guided (lossless) section of the upper Bloch branch.
 
     Convention: the real-energy span of the branch's strictly dark points,
-    |Im| < im_tol, evaluated on the chain's own n_atoms-point k grid unless
-    another grid is given.  The band edge has a logarithmic spike at the
-    light line, so the physically meaningful width is the one sampled at the
-    chain's actual mode spacing; a finer grid chases the divergence instead.
+    |Im| < 1e-9, evaluated on the chain's own n_atoms-point k grid.  The
+    band edge has a logarithmic spike at the light line, so the physically
+    meaningful width is the one sampled at the chain's actual mode spacing;
+    a finer grid chases the divergence instead.
     """
-    if branch not in ("upper", "lower"):
-        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    if k_grid is None:
-        k_grid = chain_k_grid(vc)
-    bands = bloch_bands(vc, k_grid)
-    lam = bands.upper if branch == "upper" else bands.lower
-    dark = np.abs(lam.imag) < im_tol
+    upper = bloch_bands(vc, chain_k_grid(vc)).upper
+    dark = np.abs(upper.imag) < _DARK_TOL
     if not dark.any():
         return 0.0
-    re = lam.real[dark]
+    re = upper.real[dark]
     return float(re.max() - re.min())
 
 
-def guided_group_velocity(vc: ChainConfig, k_grid: np.ndarray | None = None) -> float:
+def guided_group_velocity(vc: ChainConfig) -> float:
     """Max |d Re(band)/dk| over the guided sections of both branches.
 
     Used to convert chain distances into traversal times for spin-wave
     snapshot protocols.
     """
-    if k_grid is None:
-        k_grid = default_k_grid(vc)
-    bands = bloch_bands(vc, k_grid)
+    bands = bloch_bands(vc, default_k_grid(vc))
     best = 0.0
     for lam in (bands.lower, bands.upper):
-        dark = np.abs(lam.imag) < 1e-9
+        dark = np.abs(lam.imag) < _DARK_TOL
         if dark.sum() < 3:
             continue
         # velocities only between adjacent dark points, away from zone wraps

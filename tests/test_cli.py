@@ -344,6 +344,10 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("transmit", ["--e-min", "3", "--e-max", "1", "--smoothing", "1.0"], "--e-max"),
         ("transmit", ["--smoothing", "-0.5"], "--smoothing"),
         ("transmit", ["--target", "12", "--n-e", "5"], "--target"),
+        ("evolve", ["--n-angles", "0"], "--n-angles"),
+        ("evolve", ["--n-angles", "-1"], "--n-angles"),
+        ("evolve", ["--times", ","], "--times"),
+        ("disorder", ["--sqrt-w", ","], "--sqrt-w"),
     ],
 )
 def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):
@@ -352,7 +356,8 @@ def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, fl
     def setup_reached(*args, **kwargs):
         raise AssertionError("set-up ran before the flag was checked")
 
-    for name in ("build_couplings", "bloch_bands", "run_ensemble", "compare_configs"):
+    for name in ("build_couplings", "bloch_bands", "guided_group_velocity", "Propagator",
+                 "run_ensemble", "compare_configs"):
         monkeypatch.setattr(cli, name, setup_reached)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags])
     assert rc == 2

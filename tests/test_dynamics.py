@@ -229,21 +229,21 @@ def test_edge_probes_positions(dir24):
     assert np.allclose(probes[1], [0, 0, length + 20.0])
 
 
-def test_detector_grid_weights(dir24):
-    grid = detector_grid(dir24, n_polar=32, n_azimuth=8)
+def test_detector_grid_weights():
+    grid = detector_grid(n_polar=32, n_azimuth=8)
     assert grid.node_weights().sum() == pytest.approx(4 * np.pi, rel=1e-12)
 
 
 def test_single_atom_detector_integral_recovers_linewidth():
     vc = validate(ChainConfig(n_atoms=1, lattice_const=0.125))
     state = spin_wave(vc, n0=0, width_sq=4.0, excited_fraction=0.5)
-    rate = total_detection_rate(state, detector_grid(vc), vc)
+    rate = total_detection_rate(state, detector_grid(), vc)
     assert rate / state.norm == pytest.approx(GAMMA0, abs=1e-6)
 
 
 def test_flux_conservation_matches_norm_loss(dir24, dir24_couplings, dir24_prop):
     state = propagate_to(spin_wave(dir24, n0=12, width_sq=6.0), dir24_prop, 2.0)
-    flux = total_detection_rate(state, detector_grid(dir24), dir24)
+    flux = total_detection_rate(state, detector_grid(), dir24)
     expected = float(np.real(state.amps.conj() @ (dir24_couplings.decay @ state.amps)))
     assert abs(flux - expected) / expected < 1e-4
 
@@ -267,7 +267,7 @@ def looped_detector_rows(grid, vc):
 
 
 def test_detector_rows_match_looped_reference(dir24):
-    grid = detector_grid(dir24, n_polar=16, n_azimuth=6)
+    grid = detector_grid(n_polar=16, n_azimuth=6)
     rows, weights = detector_rows(grid, dir24)
     assert np.abs(rows - looped_detector_rows(grid, dir24)).max() < 1e-15
     assert np.array_equal(weights, np.repeat(grid.node_weights(), 2))
@@ -280,7 +280,7 @@ def test_detector_rows_match_looped_reference(dir24):
 
 def test_detection_probability_consistent_with_rows(dir24):
     state = spin_wave(dir24, n0=12, width_sq=6.0)
-    grid = detector_grid(dir24, n_polar=8, n_azimuth=4)
+    grid = detector_grid(n_polar=8, n_azimuth=4)
     rows, weights = detector_rows(grid, dir24)
     total = float(weights @ np.abs(rows @ state.amps) ** 2)
     acc = 0.0

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atomchain.chain_model import GAMMA0, ChainConfig, validate
+from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
-from atomchain.hamiltonian import assemble
+from atomchain.hamiltonian import _drive_terms, assemble
 from atomchain.spectrum import (
     BlochBands,
     LatticeSumDivergence,
+    _gauge_shift,
     bloch_bands,
     chain_k_grid,
     complex_spectrum,
@@ -25,13 +27,48 @@ from atomchain.spectrum import (
 
 mp.mp.dps = 30
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def looped_bloch_bands(vc, k_grid):
+    """Reference: one scalar Fourier sum per (k, polarization) and one 2x2 eig per k.
+
+    A light-line point is caught by its LatticeSumDivergence and nudged by
+    1e-9/a toward the inside of the light cone.  Returns the (n_k, 2)
+    eigenvalues and plus-weights, sorted by real part, and the nudge count.
+    """
+    a = vc.lattice_const
+    bz = 2.0 * np.pi / a
+    kc = _gauge_shift(vc)
+    eps_plus, eps_minus, coupling = _drive_terms(vc)
+    lam = np.empty((k_grid.size, 2), dtype=complex)
+    weight_plus = np.empty((k_grid.size, 2))
+    nudges = 0
+    for i, k in enumerate(k_grid):
+        diag = []
+        for s, eps in ((+1.0, eps_plus), (-1.0, eps_minus)):
+            q = float(k - s * kc)
+            try:
+                f = coupling_fourier_sum(q, vc)
+            except LatticeSumDivergence:
+                nudges += 1
+                inward = np.copysign(1e-9 / a, np.mod(q + np.pi / a, bz) - np.pi / a)
+                f = coupling_fourier_sum(q - inward, vc)
+            diag.append(eps - 0.5j * GAMMA0 + f)
+        values, vectors = np.linalg.eig(np.array([[diag[0], coupling], [coupling, diag[1]]]))
+        order = np.argsort(values.real)
+        lam[i] = values[order]
+        weight_plus[i] = np.abs(vectors[0, order]) ** 2
+    return lam, weight_plus, nudges
+
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_lattice_sum_matches_mpmath(p):
-    for phi in (0.05, 0.3, 1.0, np.pi / 2, 2.0, np.pi, 4.0, 5.5, 6.2):
-        mine = lattice_sum(p, phi)
-        ref = complex(mp.polylog(p, mp.e ** (1j * phi)))
-        assert abs(mine - ref) < 1e-12
+    phis = (0.05, 0.3, 1.0, np.pi / 2, 2.0, np.pi, 4.0, 5.5, 6.2)
+    refs = [complex(mp.polylog(p, mp.e ** (1j * phi))) for phi in phis]
+    for phi, ref in zip(phis, refs):
+        assert abs(lattice_sum(p, phi) - ref) < 1e-12
+    assert np.abs(lattice_sum(p, np.array(phis)) - np.array(refs)).max() < 1e-12
 
 
 def test_lattice_sum_known_values():
@@ -160,6 +197,22 @@ def test_reciprocal_bands_even_in_k_on_every_row():
     for lam in (bands.upper, bands.lower):
         assert np.abs(lam[:-1] - lam[-2::-1]).max() < 1e-9
         assert lam.imag.max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["directional", "reciprocal"])
+def test_bloch_bands_match_looped_reference(name):
+    vc = validate(read_config(CONFIG_DIR / f"{name}.cfg")[0])
+    ks = default_k_grid(vc, 1024)
+    bands = bloch_bands(vc, ks)
+    lam, weight_plus, nudges = looped_bloch_bands(vc, ks)
+    if vc.reciprocal:
+        # the grid holds both light lines k = +/-k0, one nudge per polarization each
+        assert nudges == 4
+    assert np.array_equal(bands.k_grid, ks)
+    assert np.abs(bands.lower - lam[:, 0]).max() < 1e-12
+    assert np.abs(bands.upper - lam[:, 1]).max() < 1e-12
+    assert np.abs(bands.polarization_weight_lower - weight_plus[:, 0]).max() < 1e-12
+    assert np.abs(bands.polarization_weight_upper - weight_plus[:, 1]).max() < 1e-12
 
 
 def test_bloch_bands_fold_warning(dir24):
