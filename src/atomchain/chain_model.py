@@ -166,6 +166,8 @@ def read_config(path: str | Path) -> tuple[ChainConfig, int | None]:
         if key in values:
             kwargs[key] = _num(key, float)
     seed = _num("seed", int) if "seed" in values else None
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, got {seed}")
     return ChainConfig(**kwargs), seed
 
 

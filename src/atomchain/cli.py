@@ -41,6 +41,7 @@ from .dynamics import (
     Propagator,
     far_field_intensity,
     far_field_ring,
+    launch_site,
     momentum_distribution,
     populations,
     propagate_to,
@@ -232,7 +233,7 @@ def _default_times(vc, n0: int) -> list[float]:
 
 def cmd_evolve(args, vc, seed, outdir, fmt):
     _require_at_least(args.n_angles, 1, "--n-angles")
-    n0 = min(100, vc.n_atoms // 2) if args.n0 is None else args.n0
+    n0 = launch_site(vc) if args.n0 is None else args.n0
     try:
         state0 = spin_wave(
             vc,
@@ -317,15 +318,12 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         raise ConfigError("--sqrt-w values must be non-negative")
     _require_at_least(args.realizations, 1, "--realizations")
     _require_at_least(args.time, 0.0, "--time")
-    observables = ("survival", "kspace_ipr", "realspace_ipr")
     spec = EnsembleSpec(
         base_config=vc,
         w_values=tuple(s * s for s in sqrt_w),
         n_realizations=args.realizations,
         master_seed=seed,
         observation_time=args.time,
-        observables=observables,
-        n0=min(100, vc.n_atoms // 2),
         max_workers=args.threads,
     )
 
@@ -357,7 +355,7 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         extras["failures"] = result.failures
         zero_std = _zero_disorder_spread(result, sqrt_w)
     else:
-        comparison = compare_configs(spec, vc, with_mixing_angle(vc, 0.0))
+        comparison = compare_configs(spec, with_mixing_angle(vc, 0.0))
         agg_rows = dump_result(comparison.result_a, "base")
         agg_rows += dump_result(comparison.result_b, "twin")
         diff_rows = []
@@ -533,6 +531,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
 
     try:
+        if args.seed is not None:
+            _require_at_least(args.seed, 0, "--seed")
+        _require_at_least(args.threads, 1, "--threads")
         config, file_seed = read_config(args.config)
         vc = validate(config)
     except ConfigError as exc:

@@ -15,7 +15,7 @@ source distance R_n = |P - r_n|:
 
 and I(P) = |sum_ns A_ns(P) c_ns|^2.  The |P|/R_n envelope normalizes out
 the overall free-space falloff so that a single excited atom at the origin
-has peak intensity exactly 1; relative and ratio observables are
+has peak intensity exactly 1; relative and ratio quantities are
 independent of this choice.
 
 Detection rows use the plane-wave (R -> infinity) limit instead: for a
@@ -69,9 +69,14 @@ class ExcitationState:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
+def launch_site(vc: ChainConfig) -> int:
+    """Default spin-wave center: site 100, or the chain middle if that is nearer."""
+    return min(100, vc.n_atoms // 2)
+
+
 def spin_wave(
     vc: ChainConfig,
-    n0: int = 100,
+    n0: int | None = None,
     width_sq: float = 60.0,
     k_carrier: float = 0.0,
     excited_fraction: float = 0.2,
@@ -80,15 +85,17 @@ def spin_wave(
 
     c_{n,-} ~ exp(i (k_carrier + k_c) z_n) * exp(-(n - n0)^2 / width_sq),
     rescaled so the total excited population is exactly excited_fraction;
-    the ground amplitude carries the rest of the norm.  width_sq is the
-    squared spatial width in units of lattice_const^2; k_carrier is an
-    absolute quasimomentum (units 1/LAMBDA0) added on top of the drive
-    wavevector that the packet inherits.
+    the ground amplitude carries the rest of the norm.  n0 defaults to
+    launch_site(vc).  width_sq is the squared spatial width in units of
+    lattice_const^2; k_carrier is an absolute quasimomentum (units
+    1/LAMBDA0) added on top of the drive wavevector that the packet inherits.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be > 0, got {width_sq!r}")
     if not 0.0 <= excited_fraction <= 1.0:
         raise ValueError(f"excited_fraction must lie in [0, 1], got {excited_fraction!r}")
+    if n0 is None:
+        n0 = launch_site(vc)
     if not 0 <= n0 < vc.n_atoms:
         raise ValueError(f"n0 must lie in [0, {vc.n_atoms - 1}], got {n0!r}")
     n = vc.n_atoms
@@ -268,16 +275,14 @@ def far_field_intensity(
     return np.real(np.einsum("mc,mc->m", field.conj(), field))
 
 
-def far_field_ring(
-    vc: ChainConfig, n_angles: int = 360, radius_factor: float = 50.0
-) -> np.ndarray:
+def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
     """Circle of map nodes in the x-z plane around the chain center.
 
-    The radius is radius_factor times the chain length (at least 50 to
-    honor the far-field form), centered on the chain midpoint.
+    The radius is 50 chain lengths (at least 50 wavelengths), far enough to
+    honor the far-field form, centered on the chain midpoint.
     """
     length = (vc.n_atoms - 1) * vc.lattice_const
-    radius = max(radius_factor, 50.0) * max(length, 1.0)
+    radius = 50.0 * max(length, 1.0)
     center = 0.5 * length
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     pts = np.zeros((n_angles, 3))

@@ -15,7 +15,9 @@ Observables per realization, evaluated on the state at observation_time:
     realspace_ipr           same functional on total site populations;
                             grows under disorder-induced localization
     realspace_participation its reciprocal: occupied sites
-    populations, momentum   full per-site / per-k arrays (optional)
+
+Every cell starts from the same spin wave, launched at the default site of
+dynamics.spin_wave.
 
 The transparency window of each configuration is recomputed from the Bloch
 bands and logged with the results so disorder strengths can be read against
@@ -25,7 +27,7 @@ it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .collective_couplings import build_couplings
 from .dynamics import (
     Propagator,
     momentum_distribution,
-    populations,
     propagate_to,
     site_participation,
     spin_wave,
@@ -48,7 +49,6 @@ SCALAR_OBSERVABLES = (
     "realspace_ipr",
     "realspace_participation",
 )
-ARRAY_OBSERVABLES = ("populations", "momentum")
 _FAILURE_FRACTION_LIMIT = 0.05
 
 
@@ -59,19 +59,9 @@ class EnsembleSpec:
     n_realizations: int = 50
     master_seed: int = 0
     observation_time: float = 13.0
-    observables: tuple[str, ...] = ("survival", "kspace_ipr", "realspace_ipr")
-    disorder_shape: str = "uniform"
-    n0: int = 100
-    width_sq: float = 60.0
-    k_carrier: float = 0.0
-    excited_fraction: float = 0.2
     max_workers: int = 1
 
     def __post_init__(self):
-        known = set(SCALAR_OBSERVABLES) | set(ARRAY_OBSERVABLES)
-        bad = [o for o in self.observables if o not in known]
-        if bad:
-            raise ValueError(f"unknown observables {bad}; choose from {sorted(known)}")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if any(w < 0 for w in self.w_values):
@@ -88,7 +78,6 @@ class EnsembleResult:
     spec: EnsembleSpec
     scalars: dict[str, np.ndarray]          # (n_w, n_realizations)
     aggregates: dict[str, np.ndarray]       # (n_w, 3): mean, sem, n
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
     failures: list[tuple[int, int, str]] = field(default_factory=list)
     transparency_window: float = float("nan")
 
@@ -106,32 +95,18 @@ def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
 
 
 class _ConfigRunner:
-    """Shared immutable pieces for one chain configuration."""
+    """Shared immutable pieces for the spec's chain configuration."""
 
-    def __init__(self, config: ChainConfig, spec: EnsembleSpec):
-        self.vc = validate(config)
+    def __init__(self, spec: EnsembleSpec):
+        self.vc = validate(spec.base_config)
         self.couplings = build_couplings(self.vc)
-        self.state0 = spin_wave(
-            self.vc,
-            n0=spec.n0,
-            width_sq=spec.width_sq,
-            k_carrier=spec.k_carrier,
-            excited_fraction=spec.excited_fraction,
-        )
+        self.state0 = spin_wave(self.vc)
         self.spec = spec
 
-    def run_cell(self, disorder: DisorderRealization | None):
+    def run_cell(self, disorder: DisorderRealization | None) -> dict[str, float]:
         h = assemble(self.vc, self.couplings, disorder)
         state = propagate_to(self.state0, Propagator(h), self.spec.observation_time)
-        scalars = _cell_scalars(self.vc, state)
-        arrays = {}
-        if "populations" in self.spec.observables:
-            p_plus, p_minus = populations(state)
-            arrays["populations"] = np.stack([p_plus, p_minus])
-        if "momentum" in self.spec.observables:
-            mom = momentum_distribution(state, self.vc)
-            arrays["momentum"] = np.stack([mom.p_plus, mom.p_minus])
-        return scalars, arrays
+        return _cell_scalars(self.vc, state)
 
 
 def _aggregate(values: np.ndarray) -> np.ndarray:
@@ -155,8 +130,8 @@ def _aggregate(values: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> EnsembleResult:
-    """Sweep disorder variances with n_realizations seeded draws each.
+def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
+    """Sweep disorder variances with n_realizations seeded draws of spec.base_config.
 
     Each W = 0 entry is one cell that fills every realization slot (zero
     disorder is seed independent); each W > 0 entry is one cell per draw.
@@ -165,10 +140,9 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
     """
     from .spectrum import transparency_window
 
-    runner = _ConfigRunner(config if config is not None else spec.base_config, spec)
+    runner = _ConfigRunner(spec)
     n_w, n_r = len(spec.w_values), spec.n_realizations
     scalars = {name: np.full((n_w, n_r), np.nan) for name in SCALAR_OBSERVABLES}
-    array_store: dict[str, np.ndarray] = {}
     failures: list[tuple[int, int, str]] = []
 
     # a cell is (w_index, the realization slots it fills)
@@ -189,7 +163,6 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
                     realization_seed(spec.master_seed, wi, slots[0]),
                     w,
                     runner.vc.n_atoms,
-                    shape=spec.disorder_shape,
                 )
             return cell, runner.run_cell(disorder), None
         except Exception as exc:  # recorded, not raised: partial ensembles are useful
@@ -205,12 +178,8 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
         if err is not None:
             failures.extend((wi, ri, err) for ri in slots)
             continue
-        cell_scalars, cell_arrays = payload
-        for name, val in cell_scalars.items():
+        for name, val in payload.items():
             scalars[name][wi, slots] = val
-        for name, arr in cell_arrays.items():
-            store = array_store.setdefault(name, np.full((n_w, n_r) + arr.shape, np.nan))
-            store[wi, slots] = arr
 
     total_cells = n_w * n_r
     if len(failures) > _FAILURE_FRACTION_LIMIT * total_cells:
@@ -223,7 +192,6 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
         spec=spec,
         scalars=scalars,
         aggregates=aggregates,
-        arrays=array_store,
         failures=failures,
         transparency_window=transparency_window(runner.vc),
     )
@@ -231,7 +199,7 @@ def run_ensemble(spec: EnsembleSpec, config: ChainConfig | None = None) -> Ensem
 
 @dataclass
 class PairedComparison:
-    """Per-W paired statistics of config_a minus config_b, identical disorder."""
+    """Per-W paired statistics of spec.base_config minus its twin, identical disorder."""
 
     spec: EnsembleSpec
     result_a: EnsembleResult
@@ -241,23 +209,22 @@ class PairedComparison:
     z_score: dict[str, np.ndarray]
 
 
-def compare_configs(
-    spec: EnsembleSpec, config_a: ChainConfig, config_b: ChainConfig
-) -> PairedComparison:
-    """Run both configs on identical disorder draws and difference them.
+def compare_configs(spec: EnsembleSpec, twin: ChainConfig) -> PairedComparison:
+    """Run spec.base_config and twin on identical disorder draws and difference them.
 
-    The configs must share geometry (n_atoms and lattice_const); drive
+    The twin must share the base geometry (n_atoms and lattice_const); drive
     parameters may differ.  The paired design removes the draw-to-draw
     variance, so orderings resolve at far fewer realizations.
     """
-    if config_a.n_atoms != config_b.n_atoms:
+    base = spec.base_config
+    if base.n_atoms != twin.n_atoms:
         raise ValueError(
-            f"paired configs need equal n_atoms, got {config_a.n_atoms} and {config_b.n_atoms}"
+            f"paired configs need equal n_atoms, got {base.n_atoms} and {twin.n_atoms}"
         )
-    if config_a.lattice_const != config_b.lattice_const:
+    if base.lattice_const != twin.lattice_const:
         raise ValueError("paired configs need identical lattice_const")
-    result_a = run_ensemble(spec, config_a)
-    result_b = run_ensemble(spec, config_b)
+    result_a = run_ensemble(spec)
+    result_b = run_ensemble(replace(spec, base_config=twin))
     diff_mean, diff_sem, z_score = {}, {}, {}
     for name in SCALAR_OBSERVABLES:
         # a cell that failed in either config is NaN here and drops out

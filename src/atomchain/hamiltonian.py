@@ -18,9 +18,6 @@ import numpy as np
 from .chain_model import ChainConfig
 from .collective_couplings import CouplingMatrices
 
-DISORDER_SHAPES = ("uniform", "gaussian")
-
-
 @dataclass(frozen=True)
 class DisorderRealization:
     """One draw of i.i.d. on-site energies with zero mean and variance W."""
@@ -69,27 +66,20 @@ def drive_hamiltonian(vc: ChainConfig) -> np.ndarray:
     return h
 
 
-def disorder_sample(seed, w: float, n_atoms: int, shape: str = "uniform") -> DisorderRealization:
-    """Draw i.i.d. on-site energies with zero mean and variance w.
+def disorder_sample(seed, w: float, n_atoms: int) -> DisorderRealization:
+    """Draw i.i.d. on-site energies uniform on [-sqrt(3w), +sqrt(3w)].
 
-    `shape` selects uniform on [-sqrt(3w), +sqrt(3w)] (default; a flat
-    frequency band) or gaussian with standard deviation sqrt(w).  `seed`
-    is anything numpy's default_rng accepts, including a SeedSequence, so
-    ensembles can hand in spawned per-realization streams.
+    The flat band has zero mean and variance w.  `seed` is anything numpy's
+    default_rng accepts, including a SeedSequence, so ensembles can hand in
+    spawned per-realization streams.
     """
     if w < 0.0:
         raise ValueError(f"disorder variance must be >= 0, got {w!r}")
-    if shape not in DISORDER_SHAPES:
-        raise ValueError(f"unknown disorder shape {shape!r}; choose from {DISORDER_SHAPES}")
     if w == 0.0:
         energies = np.zeros(n_atoms)
     else:
-        rng = np.random.default_rng(seed)
-        if shape == "uniform":
-            half = np.sqrt(3.0 * w)
-            energies = rng.uniform(-half, half, n_atoms)
-        else:
-            energies = rng.normal(0.0, np.sqrt(w), n_atoms)
+        half = np.sqrt(3.0 * w)
+        energies = np.random.default_rng(seed).uniform(-half, half, n_atoms)
     return DisorderRealization(seed=seed, energies=energies, variance_w=float(w))
 
 

@@ -173,12 +173,6 @@ def default_k_grid(vc: ChainConfig, n_points: int = 1024) -> np.ndarray:
     return -np.pi / a + 2.0 * np.pi * np.arange(1, n_points + 1) / (n_points * a)
 
 
-def chain_k_grid(vc: ChainConfig) -> np.ndarray:
-    """The finite chain's own n_atoms-point quasimomentum grid on (-pi/a, pi/a]."""
-    n, a = vc.n_atoms, vc.lattice_const
-    return -np.pi / a + 2.0 * np.pi * (np.arange(n) + 1.0) / (n * a)
-
-
 def _gauge_shift(vc: ChainConfig) -> float:
     # At theta = n*pi the Raman phases drop out of the Hamiltonian entirely,
     # so the physical chain is analyzed in the bare frame (no gauge shift)
@@ -188,7 +182,7 @@ def _gauge_shift(vc: ChainConfig) -> float:
     return vc.control_wavevector_abs
 
 
-def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands:
+def bloch_bands(vc: ChainConfig, k_grid: np.ndarray) -> BlochBands:
     """Diagonalize the gauge-frame 2x2 Bloch matrix on the k grid.
 
     Quasimomenta outside (-pi/a, pi/a] are folded back with a warning.
@@ -200,8 +194,6 @@ def bloch_bands(vc: ChainConfig, k_grid: np.ndarray | None = None) -> BlochBands
     nudges, so reciprocal bands stay even in k.  The Fourier sums and the
     stacked 2x2 eigenproblems are then evaluated over the whole array at once.
     """
-    if k_grid is None:
-        k_grid = default_k_grid(vc)
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     a = vc.lattice_const
     bz = 2.0 * np.pi / a
@@ -244,7 +236,7 @@ def transparency_window(vc: ChainConfig) -> float:
     meaningful width is the one sampled at the chain's actual mode spacing;
     a finer grid chases the divergence instead.
     """
-    upper = bloch_bands(vc, chain_k_grid(vc)).upper
+    upper = bloch_bands(vc, default_k_grid(vc, vc.n_atoms)).upper
     dark = np.abs(upper.imag) < _DARK_TOL
     if not dark.any():
         return 0.0

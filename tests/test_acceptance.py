@@ -272,12 +272,9 @@ def test_disorder_localization_ordering():
         n_realizations=50,
         master_seed=20260815,
         observation_time=13.0,
-        observables=("survival", "kspace_ipr", "realspace_ipr"),
-        n0=100,
-        width_sq=60.0,
         max_workers=4,
     )
-    comparison = compare_configs(spec, base, with_mixing_angle(base, 0.0))
+    comparison = compare_configs(spec, with_mixing_angle(base, 0.0))
     ipr_a = comparison.result_a.scalars["realspace_ipr"]
     ipr_b = comparison.result_b.scalars["realspace_ipr"]
     n = spec.n_realizations

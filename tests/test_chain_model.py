@@ -143,6 +143,7 @@ def test_config_file_comments_and_blank_lines(tmp_path):
         ("n_atoms = 3\nlattice_const = 0.1\nwavelength = 2\n", "wavelength"),
         ("n_atoms = 3\nn_atoms = 4\nlattice_const = 0.1\n", "duplicate"),
         ("n_atoms three\nlattice_const = 0.1\n", "key=value"),
+        ("n_atoms = 3\nlattice_const = 0.1\nseed = -1\n", "seed"),
     ],
 )
 def test_config_file_errors(tmp_path, body, message):

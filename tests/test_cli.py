@@ -348,6 +348,9 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("evolve", ["--n-angles", "-1"], "--n-angles"),
         ("evolve", ["--times", ","], "--times"),
         ("disorder", ["--sqrt-w", ","], "--sqrt-w"),
+        ("disorder", ["--seed", "-1"], "--seed"),
+        ("disorder", ["--threads", "-3"], "--threads"),
+        ("dispersion", ["--threads", "0"], "--threads"),
     ],
 )
 def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):

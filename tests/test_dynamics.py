@@ -15,6 +15,7 @@ from atomchain.dynamics import (
     evolve,
     far_field_intensity,
     far_field_ring,
+    launch_site,
     mirror_ratio_flip,
     mirror_state,
     momentum_distribution,
@@ -49,6 +50,12 @@ def test_spin_wave_zero_fraction_all_zero(dir24):
     state = spin_wave(dir24, n0=12, width_sq=6.0, excited_fraction=0.0)
     assert np.all(state.amps == 0.0)
     assert state.norm == 0.0
+
+
+def test_spin_wave_default_launch_site(dir24):
+    # site 100 does not exist on a 24-atom chain; the default is its middle
+    assert launch_site(dir24) == 12
+    assert np.array_equal(spin_wave(dir24).amps, spin_wave(dir24, n0=12).amps)
 
 
 def test_spin_wave_errors(dir24):

@@ -75,16 +75,9 @@ def test_disorder_sample_deterministic_and_distinct():
     assert not np.array_equal(a.energies, c.energies)
 
 
-def test_disorder_sample_gaussian_shape():
-    real = disorder_sample(7, 2.0, 20_000, shape="gaussian")
-    assert abs(real.energies.var() - 2.0) < 0.1
-
-
 def test_disorder_sample_errors():
     with pytest.raises(ValueError, match="variance"):
         disorder_sample(0, -0.1, 5)
-    with pytest.raises(ValueError, match="shape"):
-        disorder_sample(0, 0.1, 5, shape="poisson")
 
 
 def test_disorder_zero_variance_is_exactly_zero():

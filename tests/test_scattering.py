@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from atomchain.chain_model import GAMMA0, ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
@@ -30,6 +32,36 @@ def test_gamma_sqrt_squares_back(dir24_couplings):
     half = gamma_sqrt(decay_modes(dir24_couplings))
     assert np.abs(half - half.conj().T).max() < 1e-12
     assert np.abs(half @ half - dir24_couplings.decay).max() < 1e-12
+
+
+def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
+    # Reference: endpoint rows of the square root of the same float64 decay
+    # matrix from a 30-digit eigendecomposition, then the same float64 solve.
+    # The small rates are resolved well above eigh's ~1e-15 error (6.6e-13,
+    # 4.2e-11, ... on this chain), so zeroing them, e.g. below the rank
+    # tolerance max(rates) * dim * eps, moves T by 1.9e-10 from it.
+    n2 = 2 * dir24.n_atoms
+    ends = [0, 1, n2 - 2, n2 - 1]
+    with mp.workdps(30):
+        rates, q = mp.eigsy(mp.matrix(dir24_couplings.decay.tolist()))
+        roots = [mp.sqrt(r) if r > 0 else mp.mpf(0) for r in rates]
+        rows = np.array(
+            [
+                [float(mp.fsum(q[i, k] * roots[k] * q[j, k] for k in range(n2))) for j in range(n2)]
+                for i in ends
+            ]
+        )
+    h = assemble(dir24, dir24_couplings).matrix
+    half = gamma_sqrt(decay_modes(dir24_couplings))
+    for energy in (-0.1, 0.5, 1.647, 2.5, 3.6):
+        a = energy * np.eye(n2) - h
+        lu = lu_factor(a)
+        b = rows[:2].T.astype(complex)
+        x = lu_solve(lu, b)
+        x += lu_solve(lu, b - a @ x)
+        reference = np.sum(np.abs(rows[2:] @ x) ** 2)
+        got = transmittance(s_matrix(energy, h, half), 0, dir24.n_atoms - 1)
+        assert abs(got - reference) < 5e-11, energy
 
 
 def test_single_atom_scattering_is_unitary_lorentzian_phase():

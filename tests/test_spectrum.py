@@ -15,7 +15,6 @@ from atomchain.spectrum import (
     LatticeSumDivergence,
     _gauge_shift,
     bloch_bands,
-    chain_k_grid,
     complex_spectrum,
     coupling_fourier_sum,
     decay_modes,
@@ -162,7 +161,7 @@ def test_complex_spectrum_sorted_non_amplifying(dir24, dir24_couplings):
 
 def test_k_grids():
     vc = validate(ChainConfig(n_atoms=16, lattice_const=0.25))
-    grid = chain_k_grid(vc)
+    grid = default_k_grid(vc, vc.n_atoms)
     assert grid.shape == (16,)
     assert grid.min() > -np.pi / 0.25
     assert grid.max() == pytest.approx(np.pi / 0.25, rel=1e-15)
@@ -243,7 +242,7 @@ def test_finite_chain_modes_land_on_bloch_bands():
     vc = validate(ChainConfig(n_atoms=205, lattice_const=0.125, mixing_angle=0.0))
     h = assemble(vc, build_couplings(vc)).matrix
     vals, vecs = np.linalg.eig(h)
-    ks = chain_k_grid(vc)
+    ks = default_k_grid(vc, vc.n_atoms)
     bands = bloch_bands(vc, ks)
     zs = np.arange(vc.n_atoms) * vc.lattice_const
     kernel = np.exp(-1j * np.outer(ks, zs))
