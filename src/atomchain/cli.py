@@ -55,6 +55,7 @@ from .ensemble import (
 )
 from .hamiltonian import assemble
 from .scattering import (
+    SchurScattering,
     gamma_sqrt,
     representation_equivalence_check,
     reciprocity_defect,
@@ -187,10 +188,9 @@ def cmd_transmit(args, vc, seed, outdir, fmt):
         if not 0 <= site < vc.n_atoms:
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
     couplings = build_couplings(vc)
-    h = assemble(vc, couplings).matrix
-    half = gamma_sqrt(decay_modes(couplings))
+    scattering = SchurScattering(assemble(vc, couplings).matrix, decay_modes(couplings))
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
-    scan = spectrum_scan(h, half, energies, source, target, smoothing_window=args.smoothing)
+    scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
     name = _table_name("transmit", fmt)
     write_table(
         os.path.join(outdir, name),
@@ -218,7 +218,10 @@ def cmd_transmit(args, vc, seed, outdir, fmt):
     if vc.reciprocal:
         asym = float(np.max(np.abs(scan.forward - scan.backward)))
         checks.append(CheckResult("direction_symmetry", asym < 1e-8, asym, 1e-8))
-    extras = {"reciprocity_defect": reciprocity_defect(vc, couplings)}
+    extras = {
+        "reciprocity_defect": reciprocity_defect(vc, couplings),
+        "worst_resolvent_residual": scan.worst_residual,
+    }
     return [name], checks, extras
 
 
@@ -430,21 +433,31 @@ def cmd_verify(args, vc, seed, outdir, fmt):
         )
 
         modes = decay_modes(couplings)
+        scattering = SchurScattering(h, modes)
         half = gamma_sqrt(modes)
         rng = np.random.default_rng(0)
         energies = rng.uniform(-3, 8, size=5)
-        worst_unit, worst_sym = 0.0, 0.0
+        worst_unit, worst_sym, worst_lu = 0.0, 0.0, 0.0
+        last = small.n_atoms - 1
         for energy in energies:
-            result = s_matrix(float(energy), h, half)
+            result = scattering.s_matrix(float(energy))
             worst_unit = max(worst_unit, result.unitarity_defect)
-            fwd = transmittance(result, 0, small.n_atoms - 1)
-            bwd = transmittance(result, small.n_atoms - 1, 0)
+            fwd = result.transmittance(0, last)
+            bwd = result.transmittance(last, 0)
             worst_sym = max(worst_sym, abs(fwd - bwd))
+            # the LU path is the reference the Schur path must reproduce
+            reference = s_matrix(float(energy), h, half)
+            lu_fwd = transmittance(reference, 0, last)
+            lu_bwd = transmittance(reference, last, 0)
+            worst_lu = max(worst_lu, abs(fwd - lu_fwd), abs(bwd - lu_bwd))
         checks.append(CheckResult(f"{tag}_unitarity", worst_unit < 1e-8, worst_unit, 1e-8))
         if angle == 0.0:
             checks.append(
                 CheckResult(f"{tag}_symmetry", worst_sym < 1e-10, worst_sym, 1e-10)
             )
+        checks.append(
+            CheckResult(f"{tag}_schur_matches_lu", worst_lu < 1e-11, worst_lu, 1e-11)
+        )
 
         report = representation_equivalence_check(small, couplings)
         checks.append(

@@ -10,10 +10,27 @@ Hermitian square root of its decay part.  For real E and a Hermitian
 coherent part, S is exactly unitary; the numerical defect is reported with
 every scan as a self-check.
 
-The resolvent column block is obtained from one LU factorization per energy
-reused across all right-hand sides, followed by a single iterative
-refinement step.  The residual after refinement guards against energies
-that land too close to a long-lived resonance for double precision.
+Scans evaluate S at many energies for one H, so SchurScattering reduces H
+once to its complex Schur form H = Z T Z^dag (Z unitary, T upper
+triangular) and works in decay-channel space.  With U the r decay
+eigenvectors of positive rate, sqrt(gamma) = U diag(sqrt(rate)) U^dag, and
+Y = Z^dag U diag(sqrt(rate)) is formed once.  Each energy then costs one
+triangular solve (E - T) X = Y and the r x r channel matrix
+
+    S_r(E) = 1 - i Y^dag X.
+
+Two identities make S_r all a scan needs, exactly:
+
+    S = (1 - U U^dag) + U S_r U^dag         (endpoint blocks from rows of U)
+    ||S^dag S - 1||_F = ||S_r^dag S_r - 1||_F   (the unitarity defect)
+
+Because Z is unitary, rounding does not grow with the condition number of
+H's eigenvectors, unlike a spectral resolvent.  The relative residual of
+the triangular solve guards against energies that land too close to a
+long-lived resonance for double precision; a failure raises, it never falls
+back.  t_matrix and s_matrix keep the direct route, one LU factorization of
+E - H per energy with one refinement step, as the reference that the
+benchmark and the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, schur, solve_triangular
 from scipy.ndimage import uniform_filter1d
 
 from .chain_model import GAMMA0, ChainConfig, flatten_index
@@ -46,6 +63,7 @@ def gamma_sqrt(modes: NormalModes) -> np.ndarray:
 def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray:
     """Full scattering t matrix at one (real) energy; h is the matrix of H.
 
+    The LU reference for SchurScattering, kept for bench/ and the tests.
     Never forms a dense inverse: one LU factorization of E - H is reused
     for every column of sqrt(gamma), then refined once.
     """
@@ -76,10 +94,17 @@ class SMatrixResult:
 
 
 def s_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> SMatrixResult:
+    """Full S matrix and its unitarity defect: the LU reference (see t_matrix)."""
     t = t_matrix(energy, h, gamma_half)
     s = np.eye(t.shape[0], dtype=complex) - 1j * t
     defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
     return SMatrixResult(energy=energy, matrix=s, unitarity_defect=float(defect))
+
+
+def _endpoint_channels(source_site: int, target_site: int) -> tuple[list[int], list[int]]:
+    rows = [flatten_index(target_site, p) for p in (+1, -1)]
+    cols = [flatten_index(source_site, p) for p in (+1, -1)]
+    return rows, cols
 
 
 def transmittance(s: SMatrixResult, source_site: int, target_site: int) -> float:
@@ -88,10 +113,71 @@ def transmittance(s: SMatrixResult, source_site: int, target_site: int) -> float
     Sums |S|^2 over both input and both output internal states, so the
     diagonal (source == target) tends to 2 far off resonance.
     """
-    rows = [flatten_index(target_site, p) for p in (+1, -1)]
-    cols = [flatten_index(source_site, p) for p in (+1, -1)]
+    rows, cols = _endpoint_channels(source_site, target_site)
     block = s.matrix[np.ix_(rows, cols)]
     return float(np.sum(np.abs(block) ** 2))
+
+
+@dataclass(frozen=True)
+class ChannelSMatrix:
+    """S at one energy in decay-channel space: S = (1 - U U^dag) + U matrix U^dag.
+
+    unitarity_defect is ||S^dag S - 1||_F, equal to that of the r x r
+    matrix; residual is the relative residual of the triangular solve.
+    """
+
+    matrix: np.ndarray
+    channels: np.ndarray
+    unitarity_defect: float
+    residual: float
+
+    def transmittance(self, source_site: int, target_site: int) -> float:
+        """Same quantity as transmittance() on the full S, from its endpoint block."""
+        rows, cols = _endpoint_channels(source_site, target_site)
+        u_cols = self.channels[cols].conj().T
+        block = self.channels[rows] @ (self.matrix @ u_cols - u_cols)
+        block += np.equal.outer(rows, cols)
+        return float(np.sum(np.abs(block) ** 2))
+
+
+class SchurScattering:
+    """S(E) of one H at any number of energies from one Schur form of H.
+
+    h is the matrix of H and modes its decay_modes; rates are used as
+    decay_modes clips them, and every positive rate is a channel.
+    """
+
+    def __init__(self, h: np.ndarray, modes: NormalModes):
+        self._t, z = schur(h, output="complex")
+        positive = modes.rates > 0
+        self.channels = modes.vectors[:, positive]
+        self._y = z.conj().T @ (self.channels * np.sqrt(modes.rates[positive]))
+        self._y_norm = np.linalg.norm(self._y)
+
+    def s_matrix(self, energy: float) -> ChannelSMatrix:
+        a = -self._t
+        a[np.diag_indices_from(a)] += energy
+        try:
+            x = solve_triangular(a, self._y)
+        except np.linalg.LinAlgError as exc:
+            raise ResolventSingularity(
+                f"energy {energy!r} renders the resolvent system singular: {exc}"
+            ) from exc
+        # a non-finite x leaves a non-finite residual, which raises below
+        rel = np.linalg.norm(self._y - a @ x) / self._y_norm
+        if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:
+            raise ResolventSingularity(
+                f"resolvent solve at energy {energy!r} left relative residual {rel:.2e}; "
+                "the energy sits too close to a long-lived resonance"
+            )
+        s_r = np.eye(x.shape[1], dtype=complex) - 1j * (self._y.conj().T @ x)
+        defect = np.linalg.norm(s_r.conj().T @ s_r - np.eye(x.shape[1]))
+        return ChannelSMatrix(
+            matrix=s_r,
+            channels=self.channels,
+            unitarity_defect=float(defect),
+            residual=float(rel),
+        )
 
 
 @dataclass
@@ -102,6 +188,7 @@ class SpectrumScan:
     forward_smoothed: np.ndarray
     backward_smoothed: np.ndarray
     unitarity_defect: np.ndarray
+    worst_residual: float
     source_site: int
     target_site: int
 
@@ -113,8 +200,7 @@ def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 def spectrum_scan(
-    h: np.ndarray,
-    gamma_half: np.ndarray,
+    scattering: SchurScattering,
     energies: np.ndarray,
     source_site: int,
     target_site: int,
@@ -122,6 +208,7 @@ def spectrum_scan(
 ) -> SpectrumScan:
     """Transmittance in both directions over an energy grid.
 
+    worst_residual is the largest relative resolvent residual of the scan.
     smoothing_window is an energy width; it is converted to a boxcar over
     grid samples (None or 0 disables smoothing).
     """
@@ -129,11 +216,13 @@ def spectrum_scan(
     forward = np.empty_like(energies)
     backward = np.empty_like(energies)
     defect = np.empty_like(energies)
+    worst_residual = 0.0
     for i, energy in enumerate(energies):
-        result = s_matrix(energy, h, gamma_half)
-        forward[i] = transmittance(result, source_site, target_site)
-        backward[i] = transmittance(result, target_site, source_site)
+        result = scattering.s_matrix(float(energy))
+        forward[i] = result.transmittance(source_site, target_site)
+        backward[i] = result.transmittance(target_site, source_site)
         defect[i] = result.unitarity_defect
+        worst_residual = max(worst_residual, result.residual)
     if smoothing_window and energies.size > 1:
         de = float(np.median(np.diff(energies)))
         samples = max(1, int(round(smoothing_window / de)))
@@ -146,6 +235,7 @@ def spectrum_scan(
         forward_smoothed=_boxcar(forward, samples),
         backward_smoothed=_boxcar(backward, samples),
         unitarity_defect=defect,
+        worst_residual=worst_residual,
         source_site=source_site,
         target_site=target_site,
     )

@@ -29,12 +29,14 @@ from atomchain.dynamics import (
 from atomchain.ensemble import EnsembleSpec, compare_configs
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
+    SchurScattering,
     gamma_sqrt,
     reciprocity_defect,
     representation_equivalence_check,
     s_matrix,
     spectrum_scan,
     t_matrix,
+    transmittance,
 )
 from atomchain.spectrum import (
     bloch_bands,
@@ -65,11 +67,15 @@ def chains():
     for tag, angle in (("rec", 0.0), ("dir", np.pi / 4)):
         vc = full_config(angle)
         couplings = build_couplings(vc)
+        h = assemble(vc, couplings)
+        modes = decay_modes(couplings)
         out[tag] = {
             "vc": vc,
             "couplings": couplings,
-            "h": assemble(vc, couplings),
-            "half": gamma_sqrt(decay_modes(couplings)),
+            "h": h,
+            "modes": modes,
+            "half": gamma_sqrt(modes),
+            "scattering": SchurScattering(h.matrix, modes),
         }
     return out
 
@@ -79,12 +85,8 @@ def scans(chains):
     energies = np.linspace(-4.0, 10.0, 500)
     return {
         "energies": energies,
-        "rec": spectrum_scan(
-            chains["rec"]["h"].matrix, chains["rec"]["half"], energies, 0, N_FULL - 1
-        ),
-        "dir": spectrum_scan(
-            chains["dir"]["h"].matrix, chains["dir"]["half"], energies, 0, N_FULL - 1
-        ),
+        "rec": spectrum_scan(chains["rec"]["scattering"], energies, 0, N_FULL - 1),
+        "dir": spectrum_scan(chains["dir"]["scattering"], energies, 0, N_FULL - 1),
     }
 
 
@@ -95,32 +97,58 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains):
         for tag, angle in (("rec", 0.0), ("dir", np.pi / 4)):
             if n == N_FULL:
                 base = chains[tag]
-                vc, couplings = base["vc"], base["couplings"]
-                clean_h, half = base["h"], base["half"]
+                vc, couplings, modes = base["vc"], base["couplings"], base["modes"]
             else:
                 vc = validate(
                     ChainConfig(n_atoms=n, lattice_const=LATTICE, mixing_angle=angle)
                 )
                 couplings = build_couplings(vc)
-                clean_h = assemble(vc, couplings)
-                half = gamma_sqrt(decay_modes(couplings))
+                modes = decay_modes(couplings)
             for w in (0.0, 1.0):
                 case += 1
-                if w == 0.0:
-                    h = clean_h
+                if w == 0.0 and n == N_FULL:
+                    scattering = base["scattering"]
                 else:
-                    h = assemble(
-                        vc, couplings, disorder_sample(np.random.SeedSequence(2026 + case), w, n)
+                    disorder = (
+                        disorder_sample(np.random.SeedSequence(2026 + case), w, n) if w else None
+                    )
+                    scattering = SchurScattering(
+                        assemble(vc, couplings, disorder).matrix, modes
                     )
                 energies = np.random.default_rng(1000 + case).uniform(-4.0, 10.0, 100)
                 for energy in energies:
-                    defect = s_matrix(float(energy), h.matrix, half).unitarity_defect
-                    worst = max(worst, defect)
+                    worst = max(worst, scattering.s_matrix(float(energy)).unitarity_defect)
+    # a long dense chain whose H has badly conditioned eigenvectors, where a
+    # spectral resolvent loses unitarity as cond(V) grows
+    vc = validate(ChainConfig(n_atoms=600, lattice_const=0.25, mixing_angle=np.pi / 4))
+    couplings = build_couplings(vc)
+    scattering = SchurScattering(assemble(vc, couplings).matrix, decay_modes(couplings))
+    long_worst = max(scattering.s_matrix(e).unitarity_defect for e in (-1.0, 1.5, 4.0))
     report(
         "scattering matrix unitarity",
-        worst < 1e-8,
+        max(worst, long_worst) < 1e-8,
         f"worst ||S^dag S - 1|| = {worst:.3e} over {case} chain/disorder cases "
-        f"x 100 energies (limit 1e-8)",
+        f"x 100 energies, {long_worst:.3e} at 600 atoms x 3 energies (limit 1e-8)",
+    )
+
+
+def test_schur_scan_matches_lu_reference(chains):
+    energies = np.linspace(-0.75, 4.25, 64)
+    worst = 0.0
+    for tag in ("rec", "dir"):
+        h, half = chains[tag]["h"].matrix, chains[tag]["half"]
+        scan = spectrum_scan(chains[tag]["scattering"], energies, 0, N_FULL - 1)
+        for i, energy in enumerate(energies):
+            reference = s_matrix(float(energy), h, half)
+            worst = max(
+                worst,
+                abs(scan.forward[i] - transmittance(reference, 0, N_FULL - 1)),
+                abs(scan.backward[i] - transmittance(reference, N_FULL - 1, 0)),
+            )
+    report(
+        "Schur scan against the LU reference",
+        worst < 1e-11,
+        f"max |dT| = {worst:.3e} over 64 energies on both chains (limit 1e-11)",
     )
 
 

@@ -111,6 +111,7 @@ def test_transmit_reciprocal_checks(tmp_path):
     assert {"unitarity", "direction_symmetry"} <= names
     assert all(c["passed"] for c in manifest["self_checks"])
     assert manifest["extras"]["reciprocity_defect"] < 1e-12
+    assert 0.0 <= manifest["extras"]["worst_resolvent_residual"] < 1e-6
     body = (out / "transmit.csv").read_text().splitlines()
     assert body[0].startswith("energy,t_forward,t_backward")
     assert len(body) == 41
@@ -257,6 +258,8 @@ def test_verify_passes_on_default_config(tmp_path):
     assert manifest["outputs"] == []
     assert len(manifest["self_checks"]) >= 10
     assert all(c["passed"] for c in manifest["self_checks"])
+    names = {c["name"] for c in manifest["self_checks"]}
+    assert {"reciprocal_schur_matches_lu", "directional_schur_matches_lu"} <= names
 
 
 def test_seed_precedence(tmp_path):

@@ -10,6 +10,7 @@ from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
     ResolventSingularity,
+    SchurScattering,
     gamma_sqrt,
     reciprocity_defect,
     representation_equivalence_check,
@@ -18,7 +19,7 @@ from atomchain.scattering import (
     t_matrix,
     transmittance,
 )
-from atomchain.spectrum import decay_modes
+from atomchain.spectrum import NormalModes, decay_modes
 
 
 def _machinery(vc):
@@ -52,7 +53,9 @@ def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
             ]
         )
     h = assemble(dir24, dir24_couplings).matrix
-    half = gamma_sqrt(decay_modes(dir24_couplings))
+    modes = decay_modes(dir24_couplings)
+    half = gamma_sqrt(modes)
+    scattering = SchurScattering(h, modes)
     for energy in (-0.1, 0.5, 1.647, 2.5, 3.6):
         a = energy * np.eye(n2) - h
         lu = lu_factor(a)
@@ -61,6 +64,8 @@ def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
         x += lu_solve(lu, b - a @ x)
         reference = np.sum(np.abs(rows[2:] @ x) ** 2)
         got = transmittance(s_matrix(energy, h, half), 0, dir24.n_atoms - 1)
+        assert abs(got - reference) < 5e-11, energy
+        got = scattering.s_matrix(energy).transmittance(0, dir24.n_atoms - 1)
         assert abs(got - reference) < 5e-11, energy
 
 
@@ -93,6 +98,36 @@ def test_t_matrix_residual_guard():
     h = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ResolventSingularity):
         t_matrix(0.0, h, np.eye(2, dtype=complex))
+    # the triangular solve raises LinAlgError here rather than returning inf
+    modes = NormalModes(rates=np.ones(2), vectors=np.eye(2))
+    with pytest.raises(ResolventSingularity):
+        SchurScattering(h, modes).s_matrix(0.0)
+    # a subnormal pivot: the solve succeeds but overflows to inf
+    tiny = np.diag([1e-310, 1.0]).astype(complex)
+    with pytest.raises(ResolventSingularity):
+        SchurScattering(tiny, modes).s_matrix(0.0)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_schur_channel_s_matrix_matches_lu(dir24, dir24_couplings, w):
+    disorder = disorder_sample(5, w, dir24.n_atoms) if w else None
+    h = assemble(dir24, dir24_couplings, disorder).matrix
+    modes = decay_modes(dir24_couplings)
+    half = gamma_sqrt(modes)
+    scattering = SchurScattering(h, modes)
+    u = scattering.channels
+    eye = np.eye(h.shape[0])
+    for energy in (-1.0, 0.5, 1.647, 3.0, 6.0):
+        channel = scattering.s_matrix(energy)
+        full = eye - u @ u.conj().T + u @ channel.matrix @ u.conj().T
+        reference = s_matrix(energy, h, half)
+        assert np.abs(full - reference.matrix).max() <= 1e-12, energy
+        full_defect = np.linalg.norm(full.conj().T @ full - eye)
+        assert abs(channel.unitarity_defect - full_defect) <= 1e-13, energy
+        for source, target in ((0, dir24.n_atoms - 1), (dir24.n_atoms - 1, 0), (3, 3)):
+            assert channel.transmittance(source, target) == pytest.approx(
+                transmittance(reference, source, target), abs=1e-12
+            )
 
 
 @given(
@@ -165,21 +200,24 @@ def test_reciprocity_defect_dichotomy(rec24, dir24, rec24_couplings, dir24_coupl
     assert reciprocity_defect(dir24, dir24_couplings) > 1e-3
 
 
-def test_spectrum_scan_output(dir24):
-    _, h, half = _machinery(dir24)
+def test_spectrum_scan_output(dir24, dir24_couplings):
+    h = assemble(dir24, dir24_couplings).matrix
+    scattering = SchurScattering(h, decay_modes(dir24_couplings))
     energies = np.linspace(-1, 7, 60)
-    scan = spectrum_scan(h, half, energies, 0, dir24.n_atoms - 1, smoothing_window=0.5)
+    scan = spectrum_scan(scattering, energies, 0, dir24.n_atoms - 1, smoothing_window=0.5)
     assert scan.forward.shape == energies.shape
     assert np.all(scan.unitarity_defect < 1e-8)
     assert np.all(scan.forward >= 0)
+    assert 0.0 < scan.worst_residual < 1e-12
     # boxcar preserves the mean of the interior region
     assert scan.forward_smoothed.mean() == pytest.approx(scan.forward.mean(), rel=0.05)
 
 
-def test_spectrum_scan_no_smoothing(dir24):
-    _, h, half = _machinery(dir24)
+def test_spectrum_scan_no_smoothing(dir24, dir24_couplings):
+    h = assemble(dir24, dir24_couplings).matrix
+    scattering = SchurScattering(h, decay_modes(dir24_couplings))
     energies = np.linspace(0, 2, 8)
-    scan = spectrum_scan(h, half, energies, 0, 5, smoothing_window=None)
+    scan = spectrum_scan(scattering, energies, 0, 5, smoothing_window=None)
     assert np.array_equal(scan.forward, scan.forward_smoothed)
 
 
