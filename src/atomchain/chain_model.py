@@ -16,7 +16,7 @@ package uses this ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +51,6 @@ DIPOLE_VECTORS = {
 def flatten_index(site: int, pol: Polarization) -> int:
     """Site-major flattening, plus before minus."""
     return 2 * site + (0 if pol == Polarization.PLUS else 1)
-
-
-def unflatten_index(flat: int) -> tuple[int, Polarization]:
-    site, rem = divmod(flat, 2)
-    return site, Polarization.PLUS if rem == 0 else Polarization.MINUS
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,8 @@ def validate(config: ChainConfig) -> ChainConfig:
     """Check physicality; return the config with plain int/float fields."""
     if not isinstance(config.n_atoms, (int, np.integer)) or config.n_atoms < 1:
         raise ConfigError(f"n_atoms must be a positive integer, got {config.n_atoms!r}")
-    if not config.lattice_const > 0.0:
-        raise ConfigError(f"lattice_const must be > 0, got {config.lattice_const!r}")
+    if not 0.0 < config.lattice_const < np.inf:
+        raise ConfigError(f"lattice_const must be finite and > 0, got {config.lattice_const!r}")
     for name in _DRIVE_FIELDS:
         if not np.isfinite(getattr(config, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(config, name)!r}")
@@ -169,13 +164,6 @@ def read_config(path: str | Path) -> tuple[ChainConfig, int | None]:
     if seed is not None and seed < 0:
         raise ConfigError(f"{path}: seed must be >= 0, got {seed}")
     return ChainConfig(**kwargs), seed
-
-
-def write_config(path: str | Path, config: ChainConfig, seed: int | None = None) -> None:
-    lines = [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(config)]
-    if seed is not None:
-        lines.append(f"seed = {seed}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def with_mixing_angle(config: ChainConfig, mixing_angle: float) -> ChainConfig:

@@ -42,6 +42,7 @@ from .dynamics import (
     far_field_intensity,
     far_field_ring,
     launch_site,
+    mirror_ratio_flip,
     momentum_distribution,
     populations,
     propagate_to,
@@ -130,7 +131,13 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects comma separated numbers, got {text!r}") from exc
     if not values:
         raise ConfigError(f"{flag} expects at least one number, got {text!r}")
+    _require_finite(values, flag)
     return values
+
+
+def _require_finite(value, flag: str) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
 
 
 # ----------------------------------------------------------------- commands
@@ -311,7 +318,14 @@ def cmd_evolve(args, vc, seed, outdir, fmt):
         comp = float(np.linalg.norm(composed.amps - probe.amps))
         checks.append(CheckResult("composition", comp < 1e-9, comp, 1e-9))
 
-    extras = {"snapshot_times": times, "spin_wave_center": n0}
+    # emission-side directionality at the last snapshot; an empty state has no ratio
+    flip = None
+    if state0.norm > 0.0:
+        flip = mirror_ratio_flip(state0, propagator, vc, times[-1])
+        if vc.reciprocal:
+            checks.append(CheckResult("mirror_symmetry", flip < 1e-9, flip, 1e-9))
+
+    extras = {"snapshot_times": times, "spin_wave_center": n0, "mirror_ratio_flip": flip}
     return outputs, checks, extras
 
 
@@ -424,7 +438,9 @@ def cmd_verify(args, vc, seed, outdir, fmt):
         anti = float(np.max(np.abs((h - h.conj().T) + 1j * couplings.decay)))
         checks.append(CheckResult(f"{tag}_anti_hermitian", anti < 1e-12, anti, 1e-12))
 
-        eigs = np.linalg.eigvals(h)
+        modes = decay_modes(couplings)
+        scattering = SchurScattering(h, modes)
+        eigs = scattering.eigenvalues
         trace_defect = abs(float(np.sum(eigs.imag)) + small.n_atoms * GAMMA0) / (
             small.n_atoms * GAMMA0
         )
@@ -432,8 +448,6 @@ def cmd_verify(args, vc, seed, outdir, fmt):
             CheckResult(f"{tag}_decay_trace", trace_defect < 1e-10, trace_defect, 1e-10)
         )
 
-        modes = decay_modes(couplings)
-        scattering = SchurScattering(h, modes)
         half = gamma_sqrt(modes)
         rng = np.random.default_rng(0)
         energies = rng.uniform(-3, 8, size=5)
@@ -547,6 +561,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _require_at_least(args.seed, 0, "--seed")
         _require_at_least(args.threads, 1, "--threads")
+        for dest, value in vars(args).items():
+            if isinstance(value, float):
+                _require_finite(value, "--" + dest.replace("_", "-"))
         config, file_seed = read_config(args.config)
         vc = validate(config)
     except ConfigError as exc:

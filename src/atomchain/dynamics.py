@@ -90,7 +90,7 @@ def spin_wave(
     lattice_const^2; k_carrier is an absolute quasimomentum (units
     1/LAMBDA0) added on top of the drive wavevector that the packet inherits.
     """
-    if width_sq <= 0.0:
+    if not width_sq > 0.0:
         raise ValueError(f"width_sq must be > 0, got {width_sq!r}")
     if not 0.0 <= excited_fraction <= 1.0:
         raise ValueError(f"excited_fraction must lie in [0, 1], got {excited_fraction!r}")
@@ -146,21 +146,6 @@ def propagate_to(state: ExcitationState, prop: Propagator, t: float) -> Excitati
     return replace(state, amps=amps, time=t)
 
 
-def evolve(
-    state: ExcitationState,
-    prop: Propagator,
-    t_final: float,
-    n_snapshots: int = 2,
-) -> list[ExcitationState]:
-    """Snapshots at n_snapshots uniform times from state.time to t_final."""
-    if t_final < state.time:
-        raise ValueError(f"t_final {t_final} precedes state time {state.time}")
-    if n_snapshots < 1:
-        raise ValueError("n_snapshots must be >= 1")
-    times = np.linspace(state.time, t_final, n_snapshots)
-    return [propagate_to(state, prop, float(t)) for t in times]
-
-
 def populations(state: ExcitationState) -> tuple[np.ndarray, np.ndarray]:
     """Per-site populations (p_plus, p_minus)."""
     p = np.abs(state.amps) ** 2
@@ -181,7 +166,10 @@ def _ipr(p: np.ndarray) -> tuple[float, float]:
     total = p.sum()
     if total == 0.0:
         return float("nan"), float("nan")
-    ipr = float(np.sum(p**2) / total**2)
+    # an exact power-of-two rescale to total in [0.5, 1) keeps p**2 from
+    # underflowing for tiny populations without changing a single bit otherwise
+    p = np.ldexp(p, -np.frexp(total)[1])
+    ipr = float(np.sum(p**2) / p.sum() ** 2)
     return ipr, 1.0 / ipr
 
 
@@ -203,16 +191,15 @@ class MomentumDistribution:
     The transform undoes the drive gauge: psi_s(k_j) =
     Sum_n exp(-i (k_j - s k_c) z_n) c_ns, so a fresh spin wave with
     k_carrier = 0 peaks at k = 0 on both conventions of the drive phase.
-    ipr_* = Sum p^2 / (Sum p)^2 and participation_* = 1/ipr_* (NaN for an
-    unpopulated polarization).
+    ipr_minus = Sum p^2 / (Sum p)^2 over the minus polarization, the one a
+    spin wave populates, and participation_minus = 1/ipr_minus (both NaN
+    when that polarization is empty).
     """
 
     k_grid: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
-    ipr_plus: float
     ipr_minus: float
-    participation_plus: float
     participation_minus: float
 
 
@@ -226,15 +213,12 @@ def momentum_distribution(state: ExcitationState, vc: ChainConfig) -> MomentumDi
     psi_minus = kernel @ (np.exp(-1.0j * kc * zs) * state.amps[1::2])
     p_plus = np.abs(psi_plus) ** 2
     p_minus = np.abs(psi_minus) ** 2
-    ipr_p, part_p = _ipr(p_plus)
     ipr_m, part_m = _ipr(p_minus)
     return MomentumDistribution(
         k_grid=ks,
         p_plus=p_plus,
         p_minus=p_minus,
-        ipr_plus=ipr_p,
         ipr_minus=ipr_m,
-        participation_plus=part_p,
         participation_minus=part_m,
     )
 
@@ -355,15 +339,17 @@ def detector_grid(n_polar: int = 128, n_azimuth: int = 8) -> DetectorGrid:
     return DetectorGrid(cos_polar=cos_polar, polar_weights=polar_weights, azimuths=azimuths)
 
 
-def _jump_rows(vc: ChainConfig, cos_polar: np.ndarray, azimuths: np.ndarray) -> np.ndarray:
-    """Conjugated detection rows J, one per (polar, azimuth, polarization).
+def detector_rows(grid: DetectorGrid, vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Jump rows (n_nodes * 2 polarizations, 2 N) and matching node weights.
 
-    Node-major (polar outer, azimuth inner), theta_hat polarization before
-    phi_hat; columns follow the flattened (site, polarization) index.
+    Row order: node-major (polar outer, azimuth inner), theta_hat
+    polarization before phi_hat; columns follow the flattened (site,
+    polarization) index.  Rows are conjugated and carry sqrt of photon flux
+    per unit solid angle; weights are the quadrature measure.
     """
-    x = cos_polar[:, None]
+    x = grid.cos_polar[:, None]
     sin_th = np.sqrt(1.0 - x * x)
-    cp, sp = np.cos(azimuths), np.sin(azimuths)
+    cp, sp = np.cos(grid.azimuths), np.sin(grid.azimuths)
     theta_hat = np.stack(np.broadcast_arrays(x * cp, x * sp, -sin_th), axis=-1)
     phi_hat = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(x)), axis=-1)
     dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
@@ -371,48 +357,6 @@ def _jump_rows(vc: ChainConfig, cos_polar: np.ndarray, azimuths: np.ndarray) -> 
     amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
     phase = np.exp(-1.0j * K0 * x * positions(vc))
     rows = amp[:, :, :, None, :] * phase[:, None, None, :, None]
-    return np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
+    rows = np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
+    return rows, np.repeat(grid.node_weights(), 2)
 
-
-def detector_rows(grid: DetectorGrid, vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Jump rows (n_nodes * 2 polarizations, 2 N) and matching node weights.
-
-    Row order: node-major (polar outer, azimuth inner), theta_hat
-    polarization before phi_hat.  Rows carry sqrt of photon flux per unit
-    solid angle; weights are the quadrature measure.
-    """
-    return _jump_rows(vc, grid.cos_polar, grid.azimuths), np.repeat(grid.node_weights(), 2)
-
-
-def detection_probability(
-    state: ExcitationState,
-    grid: DetectorGrid,
-    vc: ChainConfig,
-    node: int,
-    polarization: int,
-    dt: float,
-) -> float:
-    """Probability dt * |J . amps|^2 of a click in one direction-polarization.
-
-    `node` indexes the grid node-major (polar outer, azimuth inner);
-    `polarization` is 0 for theta_hat, 1 for phi_hat.  The value is a rate
-    density per unit solid angle times dt; integrating over the grid
-    (node_weights) and both polarizations recovers the total decay rate.
-    """
-    if not 0 <= node < grid.n_nodes:
-        raise ValueError(f"node index {node} out of range for {grid.n_nodes} nodes")
-    if polarization not in (0, 1):
-        raise ValueError(f"polarization must be 0 (theta) or 1 (phi), got {polarization!r}")
-    i_polar, i_azimuth = divmod(node, grid.azimuths.size)
-    row = _jump_rows(
-        vc, grid.cos_polar[i_polar : i_polar + 1], grid.azimuths[i_azimuth : i_azimuth + 1]
-    )[polarization]
-    return float(dt * np.abs(row @ state.amps) ** 2)
-
-
-def total_detection_rate(
-    state: ExcitationState, grid: DetectorGrid, vc: ChainConfig
-) -> float:
-    """Quadrature of |J amps|^2 over all directions and polarizations."""
-    rows, weights = detector_rows(grid, vc)
-    return float(np.sum(weights * np.abs(rows @ state.amps) ** 2))

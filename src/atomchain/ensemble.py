@@ -64,7 +64,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if any(w < 0 for w in self.w_values):
+        if not all(w >= 0 for w in self.w_values):
             raise ValueError("disorder variances must be >= 0")
 
 
@@ -75,7 +75,6 @@ def realization_seed(master_seed: int, w_index: int, realization_index: int) -> 
 
 @dataclass
 class EnsembleResult:
-    spec: EnsembleSpec
     scalars: dict[str, np.ndarray]          # (n_w, n_realizations)
     aggregates: dict[str, np.ndarray]       # (n_w, 3): mean, sem, n
     failures: list[tuple[int, int, str]] = field(default_factory=list)
@@ -189,7 +188,6 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
 
     aggregates = {name: _aggregate(vals) for name, vals in scalars.items()}
     return EnsembleResult(
-        spec=spec,
         scalars=scalars,
         aggregates=aggregates,
         failures=failures,
@@ -201,7 +199,6 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
 class PairedComparison:
     """Per-W paired statistics of spec.base_config minus its twin, identical disorder."""
 
-    spec: EnsembleSpec
     result_a: EnsembleResult
     result_b: EnsembleResult
     diff_mean: dict[str, np.ndarray]
@@ -234,7 +231,6 @@ def compare_configs(spec: EnsembleSpec, twin: ChainConfig) -> PairedComparison:
         with np.errstate(divide="ignore", invalid="ignore"):
             z_score[name] = np.where(sem > 0, mean / sem, np.where(mean == 0, 0.0, np.nan))
     return PairedComparison(
-        spec=spec,
         result_a=result_a,
         result_b=result_b,
         diff_mean=diff_mean,

@@ -144,11 +144,14 @@ class SchurScattering:
     """S(E) of one H at any number of energies from one Schur form of H.
 
     h is the matrix of H and modes its decay_modes; rates are used as
-    decay_modes clips them, and every positive rate is a channel.
+    decay_modes clips them, and every positive rate is a channel.  The
+    diagonal of the triangular factor, `eigenvalues`, is the complex
+    spectrum of H (frequency - i * halfwidth, in Schur order).
     """
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
         self._t, z = schur(h, output="complex")
+        self.eigenvalues = np.diag(self._t)
         positive = modes.rates > 0
         self.channels = modes.vectors[:, positive]
         self._y = z.conj().T @ (self.channels * np.sqrt(modes.rates[positive]))
@@ -189,8 +192,6 @@ class SpectrumScan:
     backward_smoothed: np.ndarray
     unitarity_defect: np.ndarray
     worst_residual: float
-    source_site: int
-    target_site: int
 
 
 def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -236,8 +237,6 @@ def spectrum_scan(
         backward_smoothed=_boxcar(backward, samples),
         unitarity_defect=defect,
         worst_residual=worst_residual,
-        source_site=source_site,
-        target_site=target_site,
     )
 
 

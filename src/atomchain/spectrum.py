@@ -1,4 +1,4 @@
-"""Normal modes of the decay matrix, complex spectra, and Bloch dispersion.
+"""Normal modes of the decay matrix and the Bloch dispersion of the infinite chain.
 
 The infinite-chain dispersion needs lattice Fourier sums of the pair
 couplings, Sum_{d>=1} exp(i q d) / d^p for p = 1, 2, 3, which are unit-circle
@@ -40,7 +40,7 @@ from scipy.special import xlogy, zeta
 
 from .chain_model import GAMMA0, K0, ChainConfig
 from .collective_couplings import CouplingMatrices
-from .hamiltonian import NonHermitianHamiltonian, _drive_terms
+from .hamiltonian import _drive_terms
 
 # zeta(2m) / (m (2m+1) (2pi)^(2m)) for the Clausen series; (q/2pi)^(2m) <= 4^-m
 # at q <= pi, so 55 terms leave the remainder far below 1e-16.
@@ -140,30 +140,18 @@ def decay_modes(couplings: CouplingMatrices) -> NormalModes:
     return NormalModes(rates=np.clip(rates, 0.0, None), vectors=vectors)
 
 
-def complex_spectrum(h: NonHermitianHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (frequency - i * halfwidth) and right eigenvectors of H.
-
-    Sorted by real part.  All imaginary parts are non-positive because the
-    decay matrix is PSD.
-    """
-    values, vectors = np.linalg.eig(h.matrix)
-    order = np.argsort(values.real, kind="stable")
-    return values[order], vectors[:, order]
-
-
 @dataclass(frozen=True)
 class BlochBands:
     """Two-branch complex dispersion of the infinite chain (gauge frame).
 
-    polarization_weight_* holds the |plus|^2 content of each branch
-    eigenvector; branches are labelled by energy order at each k, lower
-    first.
+    polarization_weight_upper holds the |plus|^2 content of the upper
+    branch eigenvector; branches are labelled by energy order at each k,
+    lower first.
     """
 
     k_grid: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    polarization_weight_lower: np.ndarray
     polarization_weight_upper: np.ndarray
 
 
@@ -219,11 +207,7 @@ def bloch_bands(vc: ChainConfig, k_grid: np.ndarray) -> BlochBands:
     lam = np.take_along_axis(values, order, axis=1)
     weight_plus = np.take_along_axis(np.abs(vectors[:, 0, :]) ** 2, order, axis=1)
     return BlochBands(
-        k_grid=folded,
-        lower=lam[:, 0],
-        upper=lam[:, 1],
-        polarization_weight_lower=weight_plus[:, 0],
-        polarization_weight_upper=weight_plus[:, 1],
+        k_grid=folded, lower=lam[:, 0], upper=lam[:, 1], polarization_weight_upper=weight_plus[:, 1]
     )
 
 

@@ -137,6 +137,34 @@ def test_evolve_outputs_and_checks(tmp_path):
     assert manifest["extras"]["snapshot_times"] == [0.4, 0.9]
 
 
+@pytest.mark.parametrize(
+    "mixing_angle, fraction, expect",
+    [(0.0, "0.2", "symmetric"), (np.pi / 4, "0.2", "flipped"), (0.0, "0", "empty")],
+)
+def test_evolve_mirror_ratio_flip(tmp_path, mixing_angle, fraction, expect):
+    cfg = write_cfg(tmp_path / "chain.cfg", mixing_angle=mixing_angle)
+    out = tmp_path / "out"
+    rc = main(
+        ["evolve", "--config", cfg, "--out", str(out), "--times", "0.4,0.9",
+         "--n-angles", "12", "--width-sq", "4.0", "--n0", "4", "--excited-fraction", fraction]
+    )
+    assert rc == 0
+    manifest = read_manifest(out)
+    flip = manifest["extras"]["mirror_ratio_flip"]
+    checks = {c["name"]: c for c in manifest["self_checks"]}
+    if expect == "symmetric":
+        assert checks["mirror_symmetry"]["passed"]
+        assert checks["mirror_symmetry"]["value"] == flip
+        assert flip < 1e-9
+    elif expect == "flipped":
+        assert "mirror_symmetry" not in checks
+        assert flip > 0.05
+    else:
+        # an empty state has no emission ratio: null, no check, still a clean run
+        assert flip is None
+        assert "mirror_symmetry" not in checks
+
+
 def test_disorder_paired_outputs(tmp_path):
     cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=10, mixing_angle=np.pi / 4)
     out = tmp_path / "out"
@@ -354,6 +382,13 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("disorder", ["--seed", "-1"], "--seed"),
         ("disorder", ["--threads", "-3"], "--threads"),
         ("dispersion", ["--threads", "0"], "--threads"),
+        ("disorder", ["--time", "nan"], "--time"),
+        ("disorder", ["--sqrt-w", "nan,0"], "--sqrt-w"),
+        ("transmit", ["--smoothing", "nan"], "--smoothing"),
+        ("transmit", ["--e-min", "nan", "--e-max", "nan", "--n-e", "1"], "--e-min"),
+        ("evolve", ["--width-sq", "nan"], "--width-sq"),
+        ("evolve", ["--k-carrier", "inf"], "--k-carrier"),
+        ("evolve", ["--times", "nan"], "--times"),
     ],
 )
 def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):

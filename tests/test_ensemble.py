@@ -31,6 +31,8 @@ def test_spec_validation():
         small_spec(n_realizations=0)
     with pytest.raises(ValueError, match="variances"):
         small_spec(w_values=(-0.1,))
+    with pytest.raises(ValueError, match="variances"):
+        small_spec(w_values=(0.0, float("nan")))
 
 
 def test_realization_seed_is_stable_and_cell_specific():

