@@ -17,7 +17,12 @@ Observables per realization, evaluated on the state at observation_time:
     realspace_participation its reciprocal: occupied sites
 
 Every cell starts from the same spin wave, launched at the default site of
-dynamics.spin_wave.
+dynamics.spin_wave.  A cell propagates it with dynamics.TaylorPropagator,
+built once per configuration from the disorder-free H, with the cell's
+on-site energies added in O(N); no cell factorizes H.  Cells whose Taylor
+series would need more than N^2 / 200 steps (long observation times) fall
+back to the spectral dynamics.Propagator of the assembled H, whose cost
+does not grow with t.
 
 The transparency window of each configuration is recomputed from the Bloch
 bands and logged with the results so disorder strengths can be read against
@@ -35,6 +40,7 @@ from .chain_model import ChainConfig, validate
 from .collective_couplings import build_couplings
 from .dynamics import (
     Propagator,
+    TaylorPropagator,
     momentum_distribution,
     propagate_to,
     site_participation,
@@ -99,20 +105,29 @@ class _ConfigRunner:
     def __init__(self, spec: EnsembleSpec):
         self.vc = validate(spec.base_config)
         self.couplings = build_couplings(self.vc)
+        self.blocks = TaylorPropagator.from_hamiltonian(assemble(self.vc, self.couplings))
         self.state0 = spin_wave(self.vc)
         self.spec = spec
 
     def run_cell(self, disorder: DisorderRealization | None) -> dict[str, float]:
-        h = assemble(self.vc, self.couplings, disorder)
-        state = propagate_to(self.state0, Propagator(h), self.spec.observation_time)
+        t = self.spec.observation_time
+        prop = self.blocks if disorder is None else self.blocks.with_onsite(disorder.energies)
+        # Propagator's eig + cond + inv costs the same at every t; the Taylor
+        # series costs s steps of up to 55 block products.  Taylor runs while
+        # s <= N^2 / 200, which tracks the measured break-even step count
+        # (2-core VM, 1 BLAS thread, W = 1): 1.0-1.9 N^2 / 200 for N = 16-205
+        # (s = 219 at N = 205) and 0.93 N^2 / 200 at N = 300.
+        if prop.steps(t) * 200 > self.vc.n_atoms**2:
+            prop = Propagator(assemble(self.vc, self.couplings, disorder))
+        state = propagate_to(self.state0, prop, t)
         return _cell_scalars(self.vc, state)
 
 
 def _aggregate(values: np.ndarray) -> np.ndarray:
     """(n_w, 3) rows of mean, standard error, count along the realization axis.
 
-    Only finite cells count: a failed realization (NaN) drops out of the
-    mean, the standard error and the reported count.
+    Only finite cells count: a failed realization (NaN, and listed among the
+    failures) drops out of the mean, the standard error and the reported count.
     """
     rows = []
     for row in values:
@@ -134,8 +149,9 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
 
     Each W = 0 entry is one cell that fills every realization slot (zero
     disorder is seed independent); each W > 0 entry is one cell per draw.
-    Individual cell failures are recorded for every slot they cover and
-    skipped; more than 5 percent failing aborts the run.
+    A cell fails when it raises or when any of its scalars is non-finite;
+    failures are recorded for every slot they cover and skipped, and more
+    than 5 percent failing aborts the run.
     """
     from .spectrum import transparency_window
 
@@ -163,9 +179,13 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
                     w,
                     runner.vc.n_atoms,
                 )
-            return cell, runner.run_cell(disorder), None
+            payload = runner.run_cell(disorder)
         except Exception as exc:  # recorded, not raised: partial ensembles are useful
             return cell, None, f"{type(exc).__name__}: {exc}"
+        bad = [name for name, val in payload.items() if not np.isfinite(val)]
+        if bad:
+            return cell, None, f"non-finite {', '.join(bad)}"
+        return cell, payload, None
 
     if spec.max_workers > 1 and cells:
         with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:

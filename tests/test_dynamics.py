@@ -1,13 +1,17 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from atomchain.chain_model import DIPOLE_VECTORS, GAMMA0, K0, ChainConfig, Polarization, validate
 from atomchain.collective_couplings import build_couplings
-from atomchain.hamiltonian import NonHermitianHamiltonian, assemble
+from atomchain.hamiltonian import NonHermitianHamiltonian, assemble, disorder_sample
 from atomchain.dynamics import (
     ExcitationState,
     Propagator,
+    TaylorPropagator,
     _ipr,
     detector_grid,
     detector_rows,
@@ -135,6 +139,17 @@ def test_ipr_is_scale_free_down_to_tiny_populations():
     ipr, participation = _ipr(p * 1e-200)
     assert ipr == pytest.approx(_ipr(p)[0], rel=1e-14)
     assert participation == pytest.approx(_ipr(p)[1], rel=1e-14)
+
+
+def test_ipr_of_tiny_amplitudes_is_exact(dir24, dir24_prop):
+    state = propagate_to(spin_wave(dir24, n0=12, width_sq=6.0), dir24_prop, 3.0)
+    # at 2^-600 every |c|^2 underflows to zero; a power-of-two scale is exact,
+    # so both IPRs must come out bit for bit as at full scale
+    tiny = replace(state, amps=np.ldexp(state.amps.view(float), -600).view(complex))
+    assert tiny.norm == 0.0
+    assert site_participation(tiny) == site_participation(state)
+    k_ipr = momentum_distribution(state, dir24).ipr_minus
+    assert momentum_distribution(tiny, dir24).ipr_minus == k_ipr
 
 
 def test_momentum_parseval(dir24, dir24_prop):
@@ -283,3 +298,65 @@ def test_detector_rows_match_looped_reference(dir24):
     assert np.abs(rows - looped_detector_rows(grid, dir24)).max() < 1e-15
     assert np.array_equal(weights, np.repeat(grid.node_weights(), 2))
 
+
+# --------------------------------------------------------------------------
+# Taylor propagation through the polarization blocks, against dense oracles.
+
+
+@lru_cache(maxsize=None)
+def _chain(n_atoms, mixing_angle):
+    vc = validate(ChainConfig(n_atoms=n_atoms, lattice_const=0.125, mixing_angle=mixing_angle))
+    couplings = build_couplings(vc)
+    return vc, couplings, TaylorPropagator.from_hamiltonian(assemble(vc, couplings))
+
+
+def _draw(vc, w):
+    return disorder_sample(np.random.SeedSequence(7, spawn_key=(vc.n_atoms,)), w, vc.n_atoms)
+
+
+def _relative(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t", [0.5, 13.0])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+@pytest.mark.parametrize("mixing_angle", [0.0, np.pi / 4])
+@pytest.mark.parametrize("n_atoms", [24, 205])
+def test_taylor_matches_expm_and_propagator(n_atoms, mixing_angle, w, t):
+    vc, couplings, blocks = _chain(n_atoms, mixing_angle)
+    draw = _draw(vc, w)
+    h = assemble(vc, couplings, draw)
+    amps = spin_wave(vc).amps
+    got = blocks.with_onsite(draw.energies).apply(amps, t)
+    assert _relative(got, expm(-1.0j * h.matrix * t) @ amps) <= 1e-12
+    assert _relative(got, Propagator(h).apply(amps, t)) <= 1e-12
+
+
+def test_taylor_at_time_zero_is_the_initial_state(dir24):
+    _, _, blocks = _chain(24, np.pi / 4)
+    amps = spin_wave(dir24).amps
+    got = blocks.apply(amps, 0.0)
+    assert blocks.steps(0.0) == 0
+    assert got.tobytes() == amps.tobytes() and got is not amps
+    with pytest.raises(ValueError, match="forward"):
+        blocks.apply(amps, -1.0)
+
+
+@pytest.mark.parametrize("n_atoms", [24, 205])
+def test_block_product_and_norm_match_assembled_h(n_atoms):
+    vc, couplings, blocks = _chain(n_atoms, np.pi / 4)
+    draw = _draw(vc, 1.0)
+    h = assemble(vc, couplings, draw).matrix
+    prop = blocks.with_onsite(draw.energies)
+    mu, shifted, norm = prop._shift()
+    assert mu == pytest.approx(np.trace(h) / h.shape[0], rel=1e-15)
+    dense = h - mu * np.eye(h.shape[0])
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(h.shape[0]) + 1.0j * rng.standard_normal(h.shape[0])
+    got = prop._product(b.reshape(-1, 2), shifted).reshape(-1)
+    assert _relative(got, dense @ b) <= 1e-15
+    assert norm == pytest.approx(np.linalg.norm(dense, 1), rel=1e-15)
+    # Al-Mohy & Higham's step count for m = 55: s = ceil(t ||H - mu I||_1 / 9.9)
+    assert prop.steps(13.0) == np.ceil(13.0 * np.linalg.norm(dense, 1) / 9.9)
+    with pytest.raises(ValueError, match="sites"):
+        blocks.with_onsite(np.zeros(n_atoms + 1))

@@ -1,15 +1,21 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from atomchain.chain_model import ChainConfig, with_mixing_angle
+from atomchain import ensemble
+from atomchain.chain_model import ChainConfig, read_config, with_mixing_angle
+from atomchain.dynamics import spin_wave
 from atomchain.ensemble import (
     EnsembleSpec,
+    _cell_scalars,
     _ConfigRunner,
     compare_configs,
     realization_seed,
     run_ensemble,
 )
-from atomchain.hamiltonian import disorder_sample
+from atomchain.hamiltonian import assemble, disorder_sample
 
 SMALL = ChainConfig(n_atoms=16, lattice_const=0.125, mixing_angle=np.pi / 4)
 
@@ -138,3 +144,68 @@ def test_compare_configs_rejects_mismatched_geometry():
     stretched = ChainConfig(n_atoms=16, lattice_const=0.25)
     with pytest.raises(ValueError, match="lattice_const"):
         compare_configs(spec, stretched)
+
+
+def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
+    spec = small_spec(n_realizations=21)
+    run_cell = _ConfigRunner.run_cell
+
+    def blank(self, disorder):
+        scalars = run_cell(self, disorder)
+        if disorder is not None and disorder.seed.spawn_key == (1, 3):
+            scalars["realspace_ipr"] = scalars["realspace_participation"] = np.nan
+        return scalars
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", blank)
+    result = run_ensemble(spec)
+    assert result.failures == [(1, 3, "non-finite realspace_ipr, realspace_participation")]
+    # the whole cell drops out of every observable, and the count says so
+    for name, values in result.scalars.items():
+        assert np.isnan(values[1, 3]), name
+        assert result.aggregates[name][:, 2].tolist() == [21, 20], name
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "directional.cfg"
+
+
+def test_cell_bits_do_not_depend_on_the_global_rng():
+    # scipy's expm_multiply estimates norms with numpy's global RNG, so its
+    # output can depend on np.random.seed; a cell must neither read nor move it
+    vc, seed = read_config(SHIPPED)
+    runner = _ConfigRunner(EnsembleSpec(base_config=vc, w_values=(1.0,), master_seed=seed))
+    draw = disorder_sample(realization_seed(seed, 0, 0), 1.0, vc.n_atoms)
+    assert runner.blocks.with_onsite(draw.energies).steps(13.0) * 200 <= vc.n_atoms**2
+    runs = []
+    for global_seed in (0, 12345):
+        np.random.seed(global_seed)
+        before = np.random.get_state()
+        runs.append(runner.run_cell(draw))
+        after = np.random.get_state()
+        assert after[2] == before[2] and np.array_equal(after[1], before[1])
+    assert runs[0] == runs[1]
+
+
+def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
+    vc = ChainConfig(n_atoms=24, lattice_const=0.125, mixing_angle=np.pi / 4)
+    draw = disorder_sample(realization_seed(3, 0, 0), 1.0, vc.n_atoms)
+    spectral = []
+    propagator = ensemble.Propagator
+    monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
+    blocks = _ConfigRunner(small_spec(base_config=vc)).blocks.with_onsite(draw.energies)
+    step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
+    last = vc.n_atoms**2 // 200  # the most steps the Taylor path takes
+    state0 = spin_wave(vc)
+    cases = (((last - 0.5) * step, False), ((last + 0.5) * step, True), (30.0, True))
+    for t, on_spectral_path in cases:
+        spectral.clear()
+        runner = _ConfigRunner(small_spec(base_config=vc, observation_time=t))
+        got = runner.run_cell(draw)
+        assert bool(spectral) == on_spectral_path, t
+        # the other path, at the same time and through the same observables
+        if on_spectral_path:
+            amps = blocks.apply(state0.amps, t)
+        else:
+            amps = propagator(assemble(runner.vc, runner.couplings, draw)).apply(state0.amps, t)
+        other = _cell_scalars(runner.vc, replace(state0, amps=amps, time=t))
+        for name, value in got.items():
+            assert value == pytest.approx(other[name], rel=1e-12), (t, name)
