@@ -113,6 +113,10 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> None:
 
 def _coerce(value):
     """JSON-native value; non-finite floats become null (JSON has no NaN)."""
+    if isinstance(value, dict):
+        return {key: _coerce(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_coerce(v) for v in value]
     if isinstance(value, (float, np.floating)):
         return float(value) if np.isfinite(value) else None
     if isinstance(value, (np.integer,)):
@@ -318,9 +322,9 @@ def cmd_evolve(args, vc, seed, outdir, fmt):
         comp = float(np.linalg.norm(composed.amps - probe.amps))
         checks.append(CheckResult("composition", comp < 1e-9, comp, 1e-9))
 
-    # emission-side directionality at the last snapshot; an empty state has no ratio
+    # emission-side directionality at the last snapshot; a zero state has no ratio
     flip = None
-    if state0.norm > 0.0:
+    if np.any(probe.amps):
         flip = mirror_ratio_flip(state0, propagator, vc, times[-1])
         if vc.reciprocal:
             checks.append(CheckResult("mirror_symmetry", flip < 1e-9, flip, 1e-9))
@@ -335,6 +339,7 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         raise ConfigError("--sqrt-w values must be non-negative")
     _require_at_least(args.realizations, 1, "--realizations")
     _require_at_least(args.time, 0.0, "--time")
+    _require_at_least(args.threads, 1, "--threads")
     spec = EnsembleSpec(
         base_config=vc,
         w_values=tuple(s * s for s in sqrt_w),
@@ -515,15 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value chain configuration file")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="realization-level workers")
+
+    def tables(p):
+        common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dispersion", help="Bloch bands and transparency window")
-    common(p)
+    tables(p)
     p.add_argument("--n-k", type=int, default=1024)
 
     p = sub.add_parser("transmit", help="two-directional transmittance scan")
-    common(p)
+    tables(p)
     p.add_argument("--e-min", type=float, default=-4.0)
     p.add_argument("--e-max", type=float, default=10.0)
     p.add_argument("--n-e", type=int, default=500)
@@ -532,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None)
 
     p = sub.add_parser("evolve", help="spin-wave launch, bounce and emission pattern")
-    common(p)
+    tables(p)
     p.add_argument("--n0", type=int, default=None, help="wave packet center site")
     p.add_argument("--width-sq", type=float, default=60.0)
     p.add_argument("--k-carrier", type=float, default=0.0)
@@ -541,11 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-angles", type=int, default=360)
 
     p = sub.add_parser("disorder", help="seeded disorder ensembles, optionally paired")
-    common(p)
+    tables(p)
     p.add_argument("--sqrt-w", type=str, default="0,0.625,1.0")
     p.add_argument("--realizations", type=int, default=50)
     p.add_argument("--time", type=float, default=13.0)
     p.add_argument("--single", action="store_true", help="skip the zero-angle twin")
+    p.add_argument("--threads", type=int, default=1, help="realization-level workers")
 
     p = sub.add_parser("verify")  # intentionally undocumented maintenance suite
     common(p)
@@ -560,7 +568,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _require_at_least(args.seed, 0, "--seed")
-        _require_at_least(args.threads, 1, "--threads")
         for dest, value in vars(args).items():
             if isinstance(value, float):
                 _require_finite(value, "--" + dest.replace("_", "-"))
@@ -581,7 +588,7 @@ def main(argv=None) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 4
 
-    fmt = args.format
+    fmt = getattr(args, "format", None)
     try:
         outputs, checks, extras = COMMANDS[args.command](args, vc, seed, args.out, fmt)
     except ConfigError as exc:
@@ -599,8 +606,7 @@ def main(argv=None) -> int:
         "package_version": __version__,
         "config": {**asdict(vc), "gamma0": GAMMA0},
         "seed": seed,
-        "threads": args.threads,
-        "format": fmt,
+        **{key: getattr(args, key) for key in ("threads", "format") if hasattr(args, key)},
         "conventions": CONVENTIONS,
         "extras": extras,
         "self_checks": [
@@ -612,7 +618,7 @@ def main(argv=None) -> int:
     }
     try:
         with open(os.path.join(args.out, "manifest.json"), "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=1)
+            json.dump(_coerce(manifest), fh, indent=1, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         print(f"cannot write manifest: {exc}", file=sys.stderr)

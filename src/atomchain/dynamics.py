@@ -20,7 +20,10 @@ source distance R_n = |P - r_n|:
 and I(P) = |sum_ns A_ns(P) c_ns|^2.  The |P|/R_n envelope normalizes out
 the overall free-space falloff so that a single excited atom at the origin
 has peak intensity exactly 1; relative and ratio quantities are
-independent of this choice.
+independent of this choice.  The field is summed over one dipole per
+site, D_n = c_n+ d_+ + c_n- d_-, with one envelope per (node, site).
+On the chain's k grid k_j z_n = -pi n + 2 pi j n / N exactly, so momentum
+spectra are one FFT of (-1)^n exp(i s k_c z_n) c_ns per polarization s.
 
 Detection rows use the plane-wave (R -> infinity) limit instead: for a
 direction Rhat and transverse polarization e in {theta_hat, phi_hat},
@@ -51,7 +54,6 @@ from .chain_model import (
     K0,
     POLARIZATIONS,
     ChainConfig,
-    Polarization,
     positions,
 )
 from .hamiltonian import NonHermitianHamiltonian
@@ -63,6 +65,7 @@ _CONDITION_LIMIT = 1e12
 _TAYLOR_DEGREE = 55
 _THETA = 9.9
 _TOLERANCE = 2.0**-53
+_STANDOFF = 20.0  # wavelengths from each chain end to its edge probe
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,11 @@ def _unit_scaled(amps: np.ndarray) -> np.ndarray:
 
 
 def _ipr(p: np.ndarray) -> tuple[float, float]:
+    """ipr and participation of populations p, the squares of _unit_scaled amplitudes."""
     total = p.sum()
     if total == 0.0:
         return float("nan"), float("nan")
-    # an exact power-of-two rescale to total in [0.5, 1) keeps p**2 from
-    # underflowing for tiny populations without changing a single bit otherwise
-    p = np.ldexp(p, -np.frexp(total)[1])
-    ipr = float(np.sum(p**2) / p.sum() ** 2)
+    ipr = float(np.sum(p**2) / total**2)
     return ipr, 1.0 / ipr
 
 
@@ -322,13 +323,12 @@ def momentum_distribution(state: ExcitationState, vc: ChainConfig) -> MomentumDi
     n = vc.n_atoms
     zs = positions(vc)
     ks = -np.pi / vc.lattice_const + 2.0 * np.pi * np.arange(n) / (n * vc.lattice_const)
-    kernel = np.exp(-1.0j * np.outer(ks, zs))
-    kc = vc.control_wavevector_abs
-    psi_plus = kernel @ (np.exp(+1.0j * kc * zs) * state.amps[0::2])
-    psi_minus = kernel @ (np.exp(-1.0j * kc * zs) * state.amps[1::2])
-    p_plus = np.abs(psi_plus) ** 2
-    p_minus = np.abs(psi_minus) ** 2
-    ipr_m, part_m = _ipr(np.abs(_unit_scaled(psi_minus)) ** 2)
+    # psi_s is the DFT of (-1)^n exp(+s i k_c z_n) c_ns, one row per s = +, -
+    gauge = np.exp(1.0j * vc.control_wavevector_abs * np.outer([1.0, -1.0], zs))
+    gauge[:, 1::2] *= -1.0
+    psi = np.fft.fft(gauge * state.amps.reshape(n, 2).T, axis=1)
+    p_plus, p_minus = np.abs(psi) ** 2
+    ipr_m, part_m = _ipr(np.abs(_unit_scaled(psi[1])) ** 2)
     return MomentumDistribution(
         k_grid=ks,
         p_plus=p_plus,
@@ -363,14 +363,11 @@ def far_field_intensity(
         raise ValueError("far-field node inside the chain bounding box (within 1 wavelength)")
     rhat = sep / dist[..., None]
     node_r = np.linalg.norm(pts, axis=1)
-    field = np.zeros((pts.shape[0], 3), dtype=complex)
-    for pol in POLARIZATIONS:
-        d = DIPOLE_VECTORS[pol]
-        amps = state.amps[0::2] if pol == Polarization.PLUS else state.amps[1::2]
-        proj = rhat @ d  # (M, N)
-        pattern = d[None, None, :] - rhat * proj[..., None]
-        envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
-        field += np.einsum("mn,mnc->mc", amps[None, :] * envelope, pattern)
+    # each site's dipole D_n = c_n+ d_+ + c_n- d_-, then one transverse projection
+    dipoles = state.amps.reshape(-1, 2) @ np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS])
+    envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
+    proj = np.einsum("mnc,nc->mn", rhat, dipoles)
+    field = envelope @ dipoles - np.einsum("mn,mnc->mc", envelope * proj, rhat)
     return np.real(np.einsum("mc,mc->m", field.conj(), field))
 
 
@@ -390,18 +387,14 @@ def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
     return pts
 
 
-def edge_probes(vc: ChainConfig, standoff: float = 20.0) -> np.ndarray:
-    """Two on-axis probe nodes just beyond the chain ends, mirror symmetric."""
+def edge_probes(vc: ChainConfig) -> np.ndarray:
+    """Two on-axis probe nodes _STANDOFF beyond the chain ends, mirror symmetric."""
     length = (vc.n_atoms - 1) * vc.lattice_const
-    return np.array([[0.0, 0.0, -standoff], [0.0, 0.0, length + standoff]])
+    return np.array([[0.0, 0.0, -_STANDOFF], [0.0, 0.0, length + _STANDOFF]])
 
 
 def mirror_ratio_flip(
-    state: ExcitationState,
-    propagator: Propagator,
-    vc: ChainConfig,
-    t: float,
-    standoff: float = 20.0,
+    state: ExcitationState, propagator: Propagator, vc: ChainConfig, t: float
 ) -> float:
     """|log10| of the right/left emission ratio product under site reversal.
 
@@ -412,16 +405,16 @@ def mirror_ratio_flip(
     directional chain transports the two launches toward the same side and
     the product departs from 1.  Physical intensities (including the 1/R^2
     falloff) make the probe pair comparable, so the per-point peak
-    normalization of far_field_intensity is divided back out.
+    normalization of far_field_intensity is divided back out.  Each ratio
+    is read off _unit_scaled amplitudes, so no decay underflows it.
     """
-    probes = edge_probes(vc, standoff)
-    geometry = np.array(
-        [standoff, (vc.n_atoms - 1) * vc.lattice_const + standoff]
-    ) ** 2
+    probes = edge_probes(vc)
+    geometry = np.array([_STANDOFF, (vc.n_atoms - 1) * vc.lattice_const + _STANDOFF]) ** 2
 
     def right_left_ratio(initial: ExcitationState) -> float:
         evolved = propagate_to(initial, propagator, t)
-        intensity = far_field_intensity(evolved, probes, vc) / geometry
+        scaled = replace(evolved, amps=_unit_scaled(evolved.amps))
+        intensity = far_field_intensity(scaled, probes, vc) / geometry
         return float(intensity[1] / intensity[0])
 
     product = right_left_ratio(state) * right_left_ratio(mirror_state(state))

@@ -187,11 +187,8 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
             return cell, None, f"non-finite {', '.join(bad)}"
         return cell, payload, None
 
-    if spec.max_workers > 1 and cells:
-        with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:
-            outcomes = list(pool.map(worker, cells))
-    else:
-        outcomes = [worker(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:
+        outcomes = list(pool.map(worker, cells))
 
     for (wi, slots), payload, err in outcomes:
         if err is not None:

@@ -282,7 +282,7 @@ def test_mirror_ratio_flip_dichotomy(chains):
         vc = chains[tag]["vc"]
         propagator = Propagator(chains[tag]["h"])
         state = spin_wave(vc, n0=100, width_sq=60.0)
-        values[tag] = mirror_ratio_flip(state, propagator, vc, t=13.0, standoff=20.0)
+        values[tag] = mirror_ratio_flip(state, propagator, vc, t=13.0)
     passed = values["rec"] < 1e-9 and values["dir"] > 0.3
     report(
         "mirror ratio flip",

@@ -165,6 +165,55 @@ def test_evolve_mirror_ratio_flip(tmp_path, mixing_angle, fraction, expect):
         assert "mirror_symmetry" not in checks
 
 
+def read_strict_manifest(outdir):
+    """The manifest parsed as strict JSON, which has no NaN or Infinity."""
+
+    def reject(token):
+        raise ValueError(f"manifest.json holds the non-JSON constant {token}")
+
+    with open(os.path.join(outdir, "manifest.json")) as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
+def decayed_flip(tmp_path, mixing_angle, time):
+    cfg = write_cfg(tmp_path / "decay.cfg", n_atoms=24, mixing_angle=mixing_angle)
+    out = tmp_path / f"t{time}"
+    rc = main(["evolve", "--config", cfg, "--out", str(out), "--times", time, "--n-angles", "12"])
+    return rc, read_strict_manifest(out)
+
+
+@pytest.mark.parametrize("time", ["6000000", "7000000"])
+def test_decayed_state_keeps_its_emission_ratio(tmp_path, time):
+    # the largest amplitude is ~5e-181 at t = 7e6: every probe intensity of the
+    # raw amplitudes underflows (to subnormals at 6e6, to 0 at 7e6)
+    rc_ref, reference = decayed_flip(tmp_path, np.pi / 4, "300000")
+    rc, manifest = decayed_flip(tmp_path, np.pi / 4, time)
+    assert rc == rc_ref == 0
+    flip = manifest["extras"]["mirror_ratio_flip"]
+    assert flip == pytest.approx(reference["extras"]["mirror_ratio_flip"], rel=1e-12)
+
+
+def test_state_decayed_to_zero_has_no_emission_ratio(tmp_path):
+    # on the reciprocal chain every amplitude is exactly 0 by t = 3e7
+    rc, manifest = decayed_flip(tmp_path, 0.0, "30000000")
+    assert rc == 0
+    assert manifest["extras"]["mirror_ratio_flip"] is None
+    assert "mirror_symmetry" not in {c["name"] for c in manifest["self_checks"]}
+
+
+def test_manifest_writes_non_finite_values_as_null(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "chain.cfg")
+
+    def fake(args, vc, seed, outdir, fmt):
+        return [], [CheckResult("synthetic", True, float("nan"), 1.0)], {"x": [float("inf")]}
+
+    monkeypatch.setitem(cli.COMMANDS, "dispersion", fake)
+    assert main(["dispersion", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    manifest = read_strict_manifest(tmp_path / "o")
+    assert manifest["extras"] == {"x": [None]}
+    assert manifest["self_checks"][0]["value"] is None
+
+
 def test_disorder_paired_outputs(tmp_path):
     cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=10, mixing_angle=np.pi / 4)
     out = tmp_path / "out"
@@ -381,7 +430,7 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("disorder", ["--sqrt-w", ","], "--sqrt-w"),
         ("disorder", ["--seed", "-1"], "--seed"),
         ("disorder", ["--threads", "-3"], "--threads"),
-        ("dispersion", ["--threads", "0"], "--threads"),
+        ("disorder", ["--threads", "0"], "--threads"),
         ("disorder", ["--time", "nan"], "--time"),
         ("disorder", ["--sqrt-w", "nan,0"], "--sqrt-w"),
         ("transmit", ["--smoothing", "nan"], "--smoothing"),

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from atomchain.chain_model import DIPOLE_VECTORS, GAMMA0, K0, ChainConfig, Polarization, validate
+from atomchain.chain_model import (
+    DIPOLE_VECTORS,
+    GAMMA0,
+    K0,
+    ChainConfig,
+    Polarization,
+    positions,
+    validate,
+)
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import NonHermitianHamiltonian, assemble, disorder_sample
 from atomchain.dynamics import (
     ExcitationState,
     Propagator,
     TaylorPropagator,
-    _ipr,
     detector_grid,
     detector_rows,
     edge_probes,
@@ -131,16 +138,6 @@ def test_site_participation_uniform_state(dir24):
     assert ipr == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
-def test_ipr_is_scale_free_down_to_tiny_populations():
-    p = np.random.default_rng(3).random(48)
-    # a power-of-two scale is exact, so the result must not change by one bit
-    assert _ipr(np.ldexp(p, -700)) == _ipr(p)
-    # 1e-200 is not a power of two; p**2 underflows unless _ipr rescales first
-    ipr, participation = _ipr(p * 1e-200)
-    assert ipr == pytest.approx(_ipr(p)[0], rel=1e-14)
-    assert participation == pytest.approx(_ipr(p)[1], rel=1e-14)
-
-
 def test_ipr_of_tiny_amplitudes_is_exact(dir24, dir24_prop):
     state = propagate_to(spin_wave(dir24, n0=12, width_sq=6.0), dir24_prop, 3.0)
     # at 2^-600 every |c|^2 underflows to zero; a power-of-two scale is exact,
@@ -247,7 +244,7 @@ def test_far_field_ring_geometry(dir24):
 
 
 def test_edge_probes_positions(dir24):
-    probes = edge_probes(dir24, standoff=20.0)
+    probes = edge_probes(dir24)
     length = (dir24.n_atoms - 1) * dir24.lattice_const
     assert np.allclose(probes[0], [0, 0, -20.0])
     assert np.allclose(probes[1], [0, 0, length + 20.0])
@@ -360,3 +357,59 @@ def test_block_product_and_norm_match_assembled_h(n_atoms):
     assert prop.steps(13.0) == np.ceil(13.0 * np.linalg.norm(dense, 1) / 9.9)
     with pytest.raises(ValueError, match="sites"):
         blocks.with_onsite(np.zeros(n_atoms + 1))
+
+
+# --------------------------------------------------------------------------
+# One-pass far field and momentum transform, against the looped references.
+
+def looped_far_field(state, points, vc):
+    """Reference intensity: one polarization at a time, each with its own pattern."""
+    sep = points[:, None, :] - np.stack(
+        [np.zeros(vc.n_atoms), np.zeros(vc.n_atoms), positions(vc)], axis=1
+    )
+    dist = np.linalg.norm(sep, axis=2)
+    rhat = sep / dist[..., None]
+    node_r = np.linalg.norm(points, axis=1)
+    field = np.zeros((points.shape[0], 3), dtype=complex)
+    for col, s in enumerate((Polarization.PLUS, Polarization.MINUS)):
+        d = DIPOLE_VECTORS[s]
+        pattern = d[None, None, :] - rhat * (rhat @ d)[..., None]
+        envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
+        field += np.einsum("mn,mnc->mc", state.amps[col::2][None, :] * envelope, pattern)
+    return np.sum(np.abs(field) ** 2, axis=1)
+
+
+def dft_momentum(state, vc):
+    """Reference transform: the explicit N x N kernel exp(-i k_j z_n)."""
+    n = vc.n_atoms
+    zs = positions(vc)
+    ks = -np.pi / vc.lattice_const + 2.0 * np.pi * np.arange(n) / (n * vc.lattice_const)
+    kernel = np.exp(-1.0j * np.outer(ks, zs))
+    kc = vc.control_wavevector_abs
+    psi_plus = kernel @ (np.exp(+1.0j * kc * zs) * state.amps[0::2])
+    psi_minus = kernel @ (np.exp(-1.0j * kc * zs) * state.amps[1::2])
+    return ks, np.abs(psi_plus) ** 2, np.abs(psi_minus) ** 2
+
+
+def _max_relative(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max() if np.any(ref) else np.abs(got).max()
+
+
+@pytest.mark.parametrize("mixing_angle", [0.0, np.pi / 4])
+@pytest.mark.parametrize("n_atoms", [24, 205])
+def test_far_field_and_momentum_match_references(n_atoms, mixing_angle):
+    vc, _, blocks = _chain(n_atoms, mixing_angle)
+    state = spin_wave(vc)
+    state = replace(state, amps=blocks.apply(state.amps, 6.5), time=6.5)
+    assert np.any(state.amps[0::2]) == (mixing_angle != 0.0)
+    for points in (far_field_ring(vc), edge_probes(vc)):
+        got = far_field_intensity(state, points, vc)
+        assert _max_relative(got, looped_far_field(state, points, vc)) <= 1e-13
+    mom = momentum_distribution(state, vc)
+    ks, p_plus, p_minus = dft_momentum(state, vc)
+    assert mom.k_grid.tobytes() == ks.tobytes()
+    assert _max_relative(mom.p_plus, p_plus) <= 1e-13
+    assert _max_relative(mom.p_minus, p_minus) <= 1e-13
+    reference_ipr = np.sum(p_minus**2) / np.sum(p_minus) ** 2
+    assert mom.ipr_minus == pytest.approx(reference_ipr, rel=1e-13)
+
