@@ -1,13 +1,16 @@
 """Command line front end with deterministic, manifest-stamped outputs.
 
-Every run writes a manifest.json next to its data files recording the
-resolved configuration, seed, conventions in force, self-check outcomes and
-the produced filenames.  All table files are byte-identical across reruns
-and across --threads settings: BLAS libraries are pinned to a single thread
-before numpy is first imported (parallelism happens at the realization
-level inside the ensemble module, which writes into preallocated slots),
-and floats are serialized with shortest round-trip repr.  The manifest is
-deterministic except for its wall_clock_seconds field.
+Each command computes and returns its tables, self-checks and extras; it
+touches no file.  main alone writes the tables and then a manifest.json
+next to them, recording the resolved configuration, seed, conventions in
+force, self-check outcomes and the produced filenames.  A command that
+raises writes no table; its manifest names the error and lists no outputs.
+All table files are byte-identical across reruns and across --threads
+settings: BLAS libraries are pinned to a single thread before numpy is
+first imported (parallelism happens at the realization level inside the
+ensemble module, which writes into preallocated slots), and floats are
+serialized with shortest round-trip repr.  The manifest is deterministic
+except for its wall_clock_seconds field.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime or
 self-check failure, 4 I/O error.
@@ -124,10 +127,6 @@ def _coerce(value):
     return value
 
 
-def _table_name(stem: str, fmt: str) -> str:
-    return f"{stem}.{'json' if fmt == 'json' else 'csv'}"
-
-
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
@@ -152,24 +151,17 @@ def _require_at_least(value, floor, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {floor}, got {value!r}")
 
 
-def cmd_dispersion(args, vc, seed, outdir, fmt):
+def cmd_dispersion(args, vc, seed):
     _require_at_least(args.n_k, 1, "--n-k")
     bands = bloch_bands(vc, default_k_grid(vc, args.n_k))
-    rows = zip(
-        bands.k_grid,
-        bands.upper.real,
-        bands.upper.imag,
-        bands.lower.real,
-        bands.lower.imag,
-        bands.polarization_weight_upper,
-    )
-    name = _table_name("bands", fmt)
-    write_table(
-        os.path.join(outdir, name),
-        ["k", "re_upper", "im_upper", "re_lower", "im_lower", "pol_weight_upper"],
-        rows,
-        fmt,
-    )
+    columns = {
+        "k": bands.k_grid,
+        "re_upper": bands.upper.real,
+        "im_upper": bands.upper.imag,
+        "re_lower": bands.lower.real,
+        "im_lower": bands.lower.imag,
+        "pol_weight_upper": bands.polarization_weight_upper,
+    }
     checks = []
     max_im = float(max(bands.upper.imag.max(), bands.lower.imag.max()))
     checks.append(CheckResult("bands_non_amplifying", max_im <= 1e-6, max_im, 1e-6))
@@ -183,10 +175,10 @@ def cmd_dispersion(args, vc, seed, outdir, fmt):
         )
         checks.append(CheckResult("bands_even_in_k", asym < 1e-9, asym, 1e-9))
     extras = {"transparency_window": transparency_window(vc)}
-    return [name], checks, extras
+    return {"bands": (list(columns), zip(*columns.values()))}, checks, extras
 
 
-def cmd_transmit(args, vc, seed, outdir, fmt):
+def cmd_transmit(args, vc, seed):
     _require_at_least(args.n_e, 1, "--n-e")
     if args.n_e > 1 and not args.e_max > args.e_min:
         raise ConfigError(
@@ -202,27 +194,14 @@ def cmd_transmit(args, vc, seed, outdir, fmt):
     scattering = SchurScattering(assemble(vc, couplings).matrix, decay_modes(couplings))
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
-    name = _table_name("transmit", fmt)
-    write_table(
-        os.path.join(outdir, name),
-        [
-            "energy",
-            "t_forward",
-            "t_backward",
-            "t_forward_smoothed",
-            "t_backward_smoothed",
-            "unitarity_defect",
-        ],
-        zip(
-            scan.energies,
-            scan.forward,
-            scan.backward,
-            scan.forward_smoothed,
-            scan.backward_smoothed,
-            scan.unitarity_defect,
-        ),
-        fmt,
-    )
+    columns = {
+        "energy": scan.energies,
+        "t_forward": scan.forward,
+        "t_backward": scan.backward,
+        "t_forward_smoothed": scan.forward_smoothed,
+        "t_backward_smoothed": scan.backward_smoothed,
+        "unitarity_defect": scan.unitarity_defect,
+    }
     checks = []
     worst = float(scan.unitarity_defect.max())
     checks.append(CheckResult("unitarity", worst < 1e-8, worst, 1e-8))
@@ -233,7 +212,7 @@ def cmd_transmit(args, vc, seed, outdir, fmt):
         "reciprocity_defect": reciprocity_defect(vc, couplings),
         "worst_resolvent_residual": scan.worst_residual,
     }
-    return [name], checks, extras
+    return {"transmit": (list(columns), zip(*columns.values()))}, checks, extras
 
 
 def _default_times(vc, n0: int) -> list[float]:
@@ -245,7 +224,7 @@ def _default_times(vc, n0: int) -> list[float]:
     return [6.5, 13.0, 26.0]
 
 
-def cmd_evolve(args, vc, seed, outdir, fmt):
+def cmd_evolve(args, vc, seed):
     _require_at_least(args.n_angles, 1, "--n-angles")
     n0 = launch_site(vc) if args.n0 is None else args.n0
     try:
@@ -270,7 +249,7 @@ def cmd_evolve(args, vc, seed, outdir, fmt):
     ring = far_field_ring(vc, n_angles=args.n_angles)
 
     pop_rows, mom_rows, norm_rows = [], [], []
-    outputs = []
+    tables = {}
     states = [propagate_to(state0, propagator, t) for t in times]
     for idx, (t, state) in enumerate(zip(times, states)):
         p_plus, p_minus = populations(state)
@@ -281,23 +260,12 @@ def cmd_evolve(args, vc, seed, outdir, fmt):
             mom_rows.append((t, k, a, b))
         norm_rows.append((t, state.norm))
         intensity = far_field_intensity(state, ring, vc)
-        name = _table_name(f"intensity_{idx}", fmt)
-        write_table(
-            os.path.join(outdir, name),
-            ["x", "z", "intensity"],
-            zip(ring[:, 0], ring[:, 2], intensity),
-            fmt,
+        tables[f"intensity_{idx}"] = (
+            ["x", "z", "intensity"], zip(ring[:, 0], ring[:, 2], intensity)
         )
-        outputs.append(name)
-
-    for stem, header, rows in (
-        ("populations", ["time", "site", "p_plus", "p_minus"], pop_rows),
-        ("momentum", ["time", "k", "psi2_plus", "psi2_minus"], mom_rows),
-        ("norms", ["time", "norm"], norm_rows),
-    ):
-        name = _table_name(stem, fmt)
-        write_table(os.path.join(outdir, name), header, rows, fmt)
-        outputs.append(name)
+    tables["populations"] = (["time", "site", "p_plus", "p_minus"], pop_rows)
+    tables["momentum"] = (["time", "k", "psi2_plus", "psi2_minus"], mom_rows)
+    tables["norms"] = (["time", "norm"], norm_rows)
 
     checks = []
     norms = [state0.norm] + [s.norm for s in states]
@@ -330,10 +298,10 @@ def cmd_evolve(args, vc, seed, outdir, fmt):
             checks.append(CheckResult("mirror_symmetry", flip < 1e-9, flip, 1e-9))
 
     extras = {"snapshot_times": times, "spin_wave_center": n0, "mirror_ratio_flip": flip}
-    return outputs, checks, extras
+    return tables, checks, extras
 
 
-def cmd_disorder(args, vc, seed, outdir, fmt):
+def cmd_disorder(args, vc, seed):
     sqrt_w = _parse_float_list(args.sqrt_w, "--sqrt-w")
     if any(s < 0 for s in sqrt_w):
         raise ConfigError("--sqrt-w values must be non-negative")
@@ -348,91 +316,59 @@ def cmd_disorder(args, vc, seed, outdir, fmt):
         observation_time=args.time,
         max_workers=args.threads,
     )
-
-    outputs, checks = [], []
-    extras = {"sqrt_w": sqrt_w, "paired": not args.single}
-
-    def dump_result(result, tag):
-        for obs in SCALAR_OBSERVABLES:
-            rows = []
-            for wi, s in enumerate(sqrt_w):
-                for ri in range(spec.n_realizations):
-                    rows.append((s, ri, result.scalars[obs][wi, ri]))
-            name = _table_name(f"{obs}_{tag}" if tag else obs, fmt)
-            write_table(
-                os.path.join(outdir, name), ["sqrt_w", "realization", "value"], rows, fmt
-            )
-            outputs.append(name)
-        agg_rows = []
-        for obs in SCALAR_OBSERVABLES:
-            for wi, s in enumerate(sqrt_w):
-                mean, sem, n = result.aggregates[obs][wi]
-                agg_rows.append((tag or "base", obs, s, mean, sem, int(n)))
-        return agg_rows
-
+    # keyed by the suffix of each result's table stems and manifest keys
     if args.single:
-        result = run_ensemble(spec)
-        agg_rows = dump_result(result, "")
-        extras["transparency_window"] = result.transparency_window
-        extras["failures"] = result.failures
-        zero_std = _zero_disorder_spread(result, sqrt_w)
+        results = {"": run_ensemble(spec)}
     else:
         comparison = compare_configs(spec, with_mixing_angle(vc, 0.0))
-        agg_rows = dump_result(comparison.result_a, "base")
-        agg_rows += dump_result(comparison.result_b, "twin")
-        diff_rows = []
+        results = {"_base": comparison.result_a, "_twin": comparison.result_b}
+
+    tables, agg_rows = {}, []
+    for suffix, result in results.items():
         for obs in SCALAR_OBSERVABLES:
+            tables[obs + suffix] = (
+                ["sqrt_w", "realization", "value"],
+                [
+                    (s, ri, result.scalars[obs][wi, ri])
+                    for wi, s in enumerate(sqrt_w)
+                    for ri in range(spec.n_realizations)
+                ],
+            )
             for wi, s in enumerate(sqrt_w):
-                diff_rows.append(
-                    (
-                        obs,
-                        s,
-                        comparison.diff_mean[obs][wi],
-                        comparison.diff_sem[obs][wi],
-                        comparison.z_score[obs][wi],
-                    )
-                )
-        name = _table_name("paired_diff", fmt)
-        write_table(
-            os.path.join(outdir, name),
+                mean, sem, n = result.aggregates[obs][wi]
+                agg_rows.append((suffix[1:] or "base", obs, s, mean, sem, int(n)))
+    if not args.single:
+        tables["paired_diff"] = (
             ["observable", "sqrt_w", "diff_mean", "diff_sem", "z"],
-            diff_rows,
-            fmt,
+            [
+                (
+                    obs,
+                    s,
+                    comparison.diff_mean[obs][wi],
+                    comparison.diff_sem[obs][wi],
+                    comparison.z_score[obs][wi],
+                )
+                for obs in SCALAR_OBSERVABLES
+                for wi, s in enumerate(sqrt_w)
+            ],
         )
-        outputs.append(name)
-        extras["transparency_window_base"] = comparison.result_a.transparency_window
-        extras["transparency_window_twin"] = comparison.result_b.transparency_window
-        extras["failures_base"] = comparison.result_a.failures
-        extras["failures_twin"] = comparison.result_b.failures
-        zero_std = max(
-            _zero_disorder_spread(comparison.result_a, sqrt_w),
-            _zero_disorder_spread(comparison.result_b, sqrt_w),
-        )
+    tables["aggregate"] = (["config", "observable", "sqrt_w", "mean", "sem", "n"], agg_rows)
 
-    name = _table_name("aggregate", fmt)
-    write_table(
-        os.path.join(outdir, name),
-        ["config", "observable", "sqrt_w", "mean", "sem", "n"],
-        agg_rows,
-        fmt,
-    )
-    outputs.append(name)
+    extras = {"sqrt_w": sqrt_w, "paired": not args.single}
+    for key in ("transparency_window", "failures"):
+        extras.update({key + suffix: getattr(r, key) for suffix, r in results.items()})
+    checks = []
     if 0.0 in sqrt_w:
-        checks.append(CheckResult("zero_disorder_spread", zero_std == 0.0, zero_std, 0.0))
-    return outputs, checks, extras
+        # peak-to-peak, not std: the mean of n identical floats rounds at the
+        # ulp; np.max keeps the NaN of a failed cell, so a row with no data fails
+        zero = [wi for wi, s in enumerate(sqrt_w) if s == 0.0]
+        blocks = [r.scalars[obs][zero] for r in results.values() for obs in SCALAR_OBSERVABLES]
+        spread = float(np.max(np.ptp(blocks, axis=2)))
+        checks.append(CheckResult("zero_disorder_spread", spread == 0.0, spread, 0.0))
+    return tables, checks, extras
 
 
-def _zero_disorder_spread(result, sqrt_w) -> float:
-    # peak-to-peak, not std: the mean of n identical floats rounds at the ulp
-    spread = 0.0
-    for wi, s in enumerate(sqrt_w):
-        if s == 0.0:
-            for obs in SCALAR_OBSERVABLES:
-                spread = max(spread, float(np.ptp(result.scalars[obs][wi])))
-    return spread
-
-
-def cmd_verify(args, vc, seed, outdir, fmt):
+def cmd_verify(args, vc, seed):
     """Invariant suite on a small chain; no data files, checks only."""
     checks = []
     for angle in (0.0, np.pi / 4):
@@ -493,7 +429,7 @@ def cmd_verify(args, vc, seed, outdir, fmt):
                 report.detector_defect, 1e-4,
             )
         )
-    return [], checks, {}
+    return {}, checks, {}
 
 
 COMMANDS = {
@@ -588,9 +524,13 @@ def main(argv=None) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 4
 
-    fmt = getattr(args, "format", None)
+    outputs, error = [], None
     try:
-        outputs, checks, extras = COMMANDS[args.command](args, vc, seed, args.out, fmt)
+        tables, checks, extras = COMMANDS[args.command](args, vc, seed)
+        for stem, (header, rows) in tables.items():
+            name = f"{stem}.{args.format}"
+            write_table(os.path.join(args.out, name), header, rows, args.format)
+            outputs.append(name)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -598,8 +538,9 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # runtime/self-consistency problems map to 3
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"runtime error: {error}", file=sys.stderr)
+        checks, extras = [], {}
 
     manifest = {
         "subcommand": args.command,
@@ -614,6 +555,7 @@ def main(argv=None) -> int:
             for c in checks
         ],
         "outputs": outputs,
+        **({"error": error} if error else {}),
         "wall_clock_seconds": time.monotonic() - started,
     }
     try:
@@ -624,6 +566,8 @@ def main(argv=None) -> int:
         print(f"cannot write manifest: {exc}", file=sys.stderr)
         return 4
 
+    if error:
+        return 3
     failed = [c for c in checks if not c.passed]
     for check in checks:
         status = "ok" if check.passed else "FAIL"

@@ -3,9 +3,10 @@
 Evolution under the non-Hermitian Hamiltonian has two propagators.
 Propagator does one spectral decomposition and then evaluates snapshots
 diagonally, which makes many-snapshot protocols exact and cheap.  If the
-eigenvector matrix is ill-conditioned (condition number above 1e12, which
-never happens for the chains studied here but can for contrived inputs) it
-falls back to a dense scaling-and-squaring matrix exponential per snapshot.
+eigenvector matrix is ill-conditioned (1-norm condition number, read off
+the inverse it needs anyway, above 1e12 or not finite, which never happens
+for the chains studied here but can for contrived inputs) it falls back
+to a dense scaling-and-squaring matrix exponential per snapshot.
 TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
 33, 488, 2011, Algorithm 3.2) and applies H through its polarization
@@ -134,15 +135,19 @@ class Propagator:
     def __init__(self, h: NonHermitianHamiltonian):
         self.matrix = h.matrix
         values, vectors = np.linalg.eig(self.matrix)
-        cond = np.linalg.cond(vectors)
-        if cond > _CONDITION_LIMIT:
+        try:
+            inverse = np.linalg.inv(vectors)
+            cond = np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1)
+        except np.linalg.LinAlgError:  # eig can return an exactly singular V
+            cond = np.inf
+        if cond <= _CONDITION_LIMIT:
+            self._spectral = (values, vectors, inverse)
+        else:  # also a NaN product, from overflow in the inverse
             warnings.warn(
-                f"eigenvector condition number {cond:.2e} exceeds {_CONDITION_LIMIT:.0e}; "
-                "falling back to dense matrix exponentials"
+                f"eigenvector condition number (1-norm) {cond:.2e} exceeds "
+                f"{_CONDITION_LIMIT:.0e}; falling back to dense matrix exponentials"
             )
             self._spectral = None
-        else:
-            self._spectral = (values, vectors, np.linalg.inv(vectors))
 
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
         if self._spectral is None:

@@ -112,7 +112,7 @@ class _ConfigRunner:
     def run_cell(self, disorder: DisorderRealization | None) -> dict[str, float]:
         t = self.spec.observation_time
         prop = self.blocks if disorder is None else self.blocks.with_onsite(disorder.energies)
-        # Propagator's eig + cond + inv costs the same at every t; the Taylor
+        # Propagator's eig + inv costs the same at every t; the Taylor
         # series costs s steps of up to 55 block products.  Taylor runs while
         # s <= N^2 / 200, which tracks the measured break-even step count
         # (2-core VM, 1 BLAS thread, W = 1): 1.0-1.9 N^2 / 200 for N = 16-205

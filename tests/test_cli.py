@@ -204,8 +204,8 @@ def test_state_decayed_to_zero_has_no_emission_ratio(tmp_path):
 def test_manifest_writes_non_finite_values_as_null(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "chain.cfg")
 
-    def fake(args, vc, seed, outdir, fmt):
-        return [], [CheckResult("synthetic", True, float("nan"), 1.0)], {"x": [float("inf")]}
+    def fake(args, vc, seed):
+        return {}, [CheckResult("synthetic", True, float("nan"), 1.0)], {"x": [float("inf")]}
 
     monkeypatch.setitem(cli.COMMANDS, "dispersion", fake)
     assert main(["dispersion", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -324,6 +324,35 @@ def test_disorder_partial_ensemble_is_honest(tmp_path, monkeypatch):
         diff = base[1:] - twin[1:]
         assert diff_mean == pytest.approx(diff.mean(), rel=1e-12)
         assert diff_sem == pytest.approx(diff.std(ddof=1) / np.sqrt(20), rel=1e-12)
+
+
+def test_zero_disorder_row_with_no_data_fails_its_check(tmp_path, monkeypatch):
+    # both W = 0 slots fail: 2 of 42 slots, under the failure limit, but the
+    # W = 0 rows hold no data, so their spread is unknown, not zero
+    run_cell = _ConfigRunner.run_cell
+
+    def flaky(self, disorder):
+        if disorder is None:
+            raise RuntimeError("synthetic W = 0 failure")
+        return run_cell(self, disorder)
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", flaky)
+    cfg = write_cfg(tmp_path / "chain.cfg", mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    sqrt_w = ",".join(str(i / 20) for i in range(21))
+    rc = main(
+        ["disorder", "--config", cfg, "--out", str(out), "--single", "--sqrt-w", sqrt_w,
+         "--realizations", "2", "--time", "1"]
+    )
+    assert rc == 3
+    manifest = read_strict_manifest(out)
+    assert len(manifest["extras"]["failures"]) == 2
+    spread = [c for c in manifest["self_checks"] if c["name"] == "zero_disorder_spread"]
+    assert spread == [{"name": "zero_disorder_spread", "passed": False, "value": None,
+                       "limit": 0.0}]
+    zero_rows = [line for line in (out / "aggregate.csv").read_text().splitlines()
+                 if line.split(",")[2] == "0.0"]
+    assert zero_rows and all(line.endswith(",nan,nan,0") for line in zero_rows)
 
 
 def test_verify_passes_on_default_config(tmp_path):
@@ -486,13 +515,19 @@ def test_exit_3_runtime_error(tmp_path, capsys, monkeypatch):
     rc = main(["dispersion", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "runtime error" in capsys.readouterr().err
+    # the manifest still records the run, and names the error instead of files
+    manifest = read_strict_manifest(tmp_path / "o")
+    assert manifest["error"] == "RuntimeError: synthetic breakage"
+    assert manifest["outputs"] == [] and manifest["self_checks"] == []
+    assert manifest["extras"] == {}
+    assert os.listdir(tmp_path / "o") == ["manifest.json"]
 
 
 def test_exit_3_failed_self_check(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path / "chain.cfg")
 
-    def fake(args, vc, seed, outdir, fmt):
-        return [], [CheckResult("synthetic", False, 1.0, 0.0)], {}
+    def fake(args, vc, seed):
+        return {}, [CheckResult("synthetic", False, 1.0, 0.0)], {}
 
     monkeypatch.setitem(cli.COMMANDS, "dispersion", fake)
     rc = main(["dispersion", "--config", cfg, "--out", str(tmp_path / "o")])

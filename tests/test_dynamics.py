@@ -176,17 +176,24 @@ def test_mirror_state_involution(dir24):
 
 
 def test_propagator_falls_back_to_expm_for_defective_h():
-    # a Jordan block: the eigenvector matrix is numerically singular (cond ~ 1e16)
-    matrix = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
-    with pytest.warns(UserWarning, match="condition number"):
-        prop = Propagator(NonHermitianHamiltonian(matrix=matrix))
-    state = ExcitationState(ground_amp=0.0, amps=np.array([0.3, 0.8j]), time=0.0)
-    for t in (0.5, 2.0):
-        got = propagate_to(state, prop, t).amps
-        assert np.abs(got - expm(-1.0j * matrix * t) @ state.amps).max() < 1e-14
-        # closed form for the Jordan block: exp(-t/2) (1 - i t N)
-        closed = np.exp(-0.5 * t) * np.array([[1.0, -1.0j * t], [0.0, 1.0]]) @ state.amps
-        assert np.abs(got - closed).max() < 1e-14
+    jordan = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
+    for matrix in (
+        jordan,  # a Jordan block: V is numerically singular (cond ~ 1e16)
+        np.eye(3, k=1, dtype=complex),  # nilpotent: V is exactly singular, inv raises
+        np.array([[1.0, 1e300], [0.0, 1.0]], dtype=complex),  # ||V||_1 ||V^-1||_1 is NaN
+    ):
+        with pytest.warns(UserWarning, match="condition number"):
+            prop = Propagator(NonHermitianHamiltonian(matrix=matrix))
+        amps = np.array([0.3, 0.8j, -0.5][: len(matrix)])
+        state = ExcitationState(ground_amp=0.0, amps=amps, time=0.0)
+        for t in (0.5, 2.0):
+            got = propagate_to(state, prop, t).amps
+            want = expm(-1.0j * matrix * t) @ state.amps
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            if matrix is jordan:
+                # closed form for the Jordan block: exp(-t/2) (1 - i t N)
+                closed = np.exp(-0.5 * t) * np.array([[1.0, -1.0j * t], [0.0, 1.0]]) @ amps
+                assert np.abs(got - closed).max() < 1e-14
 
 
 def test_mirror_covariance_dichotomy(rec24, dir24, rec24_prop, dir24_prop):
