@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .chain_model import GAMMA0, K0, ChainConfig, positions
 
@@ -56,8 +55,9 @@ def build_couplings(vc: ChainConfig) -> CouplingMatrices:
     r = positions(vc)[1:]
     u = K0 * r
     g = np.exp(1.0j * u) * (1.0 + 1.0j / u - 1.0 / u**2) / (4.0 * np.pi * r)
-    decay_block = toeplitz(np.concatenate(([GAMMA0], (6.0 * np.pi * GAMMA0 / K0) * g.imag)))
-    shift_block = toeplitz(np.concatenate(([0.0], -(3.0 * np.pi * GAMMA0 / K0) * g.real)))
+    separation = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    decay_block = np.concatenate(([GAMMA0], (6.0 * np.pi * GAMMA0 / K0) * g.imag))[separation]
+    shift_block = np.concatenate(([0.0], -(3.0 * np.pi * GAMMA0 / K0) * g.real))[separation]
 
     decay = np.zeros((2 * n, 2 * n))
     shift = np.zeros((2 * n, 2 * n))

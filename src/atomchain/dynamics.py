@@ -6,7 +6,8 @@ diagonally, which makes many-snapshot protocols exact and cheap.  If the
 eigenvector matrix is ill-conditioned (1-norm condition number, read off
 the inverse it needs anyway, above 1e12 or not finite, which never happens
 for the chains studied here but can for contrived inputs) it falls back
-to a dense scaling-and-squaring matrix exponential per snapshot.
+to a dense scaling-and-squaring matrix exponential per snapshot
+(scipy.linalg.expm, imported only on that branch).
 TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
 33, 488, 2011, Algorithm 3.2) and applies H through its polarization
@@ -47,7 +48,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
 
 from .chain_model import (
     DIPOLE_VECTORS,
@@ -151,6 +151,8 @@ class Propagator:
 
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
         if self._spectral is None:
+            from scipy.linalg import expm
+
             return expm(-1.0j * self.matrix * t) @ amps
         values, vectors, inverse = self._spectral
         return (vectors * np.exp(-1.0j * values * t)) @ (inverse @ amps)

@@ -115,8 +115,10 @@ class _ConfigRunner:
         # Propagator's eig + inv costs the same at every t; the Taylor
         # series costs s steps of up to 55 block products.  Taylor runs while
         # s <= N^2 / 200, which tracks the measured break-even step count
-        # (2-core VM, 1 BLAS thread, W = 1): 1.0-1.9 N^2 / 200 for N = 16-205
-        # (s = 219 at N = 205) and 0.93 N^2 / 200 at N = 300.
+        # (2-core VM, 1 BLAS thread, W = 1, median of 3 runs, Propagator
+        # reading its condition number off the inverse): 1.37, 1.71, 1.07
+        # and 0.81 N^2 / 200 at N = 16, 50, 205 and 300 (s = 224 at N = 205),
+        # with single runs spread over 0.75-1.79 N^2 / 200.
         if prop.steps(t) * 200 > self.vc.n_atoms**2:
             prop = Propagator(assemble(self.vc, self.couplings, disorder))
         state = propagate_to(self.state0, prop, t)

@@ -31,6 +31,13 @@ long-lived resonance for double precision; a failure raises, it never falls
 back.  t_matrix and s_matrix keep the direct route, one LU factorization of
 E - H per energy with one refinement step, as the reference that the
 benchmark and the tests compare against.
+
+scipy.linalg is imported inside the code that factorizes (schur in
+SchurScattering, solve_triangular per energy, lu_factor and lu_solve in
+t_matrix), not at module level: the CLI imports this module for every
+command, and only transmit and verify run any of it.  The smoothing boxcar
+is a numpy running sum that reproduces scipy.ndimage.uniform_filter1d
+(mode="nearest") bit for bit, so no command loads scipy.ndimage.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, schur, solve_triangular
-from scipy.ndimage import uniform_filter1d
 
 from .chain_model import GAMMA0, ChainConfig, flatten_index
 from .collective_couplings import CouplingMatrices
@@ -67,6 +72,8 @@ def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray
     Never forms a dense inverse: one LU factorization of E - H is reused
     for every column of sqrt(gamma), then refined once.
     """
+    from scipy.linalg import lu_factor, lu_solve
+
     a = energy * np.eye(h.shape[0], dtype=complex) - h
     lu = lu_factor(a)
     x = lu_solve(lu, gamma_half)
@@ -150,6 +157,8 @@ class SchurScattering:
     """
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
+        from scipy.linalg import schur
+
         self._t, z = schur(h, output="complex")
         self.eigenvalues = np.diag(self._t)
         positive = modes.rates > 0
@@ -158,6 +167,8 @@ class SchurScattering:
         self._y_norm = np.linalg.norm(self._y)
 
     def s_matrix(self, energy: float) -> ChannelSMatrix:
+        from scipy.linalg import solve_triangular
+
         a = -self._t
         a[np.diag_indices_from(a)] += energy
         try:
@@ -195,9 +206,18 @@ class SpectrumScan:
 
 
 def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
+    # Running mean with each edge extended by its nearest value, summed in the
+    # order of scipy.ndimage.uniform_filter1d(mode="nearest") so the bits
+    # match: the first window left to right, then per step (entering -
+    # leaving) added to the running sum, and each sum divided by the size.
     if window_samples <= 1:
         return values.copy()
-    return uniform_filter1d(values, size=window_samples, mode="nearest")
+    before = window_samples // 2
+    padded = np.pad(values, (before, window_samples - 1 - before), mode="edge")
+    steps = np.concatenate(
+        (padded[:window_samples], padded[window_samples:] - padded[:-window_samples])
+    )
+    return np.cumsum(steps)[window_samples - 1 :] / window_samples
 
 
 def spectrum_scan(

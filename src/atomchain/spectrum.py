@@ -28,24 +28,48 @@ nudges light-line momenta off the p = 1 divergence first, then evaluates F
 over the (n_k, 2) momentum array and diagonalizes the stacked 2x2 matrices
 in one call; tests/test_spectrum.py keeps the per-k scalar loop as its
 reference.
+
+This module imports no scipy, so that importing the CLI loads numpy only.
+The Clausen coefficients are a literal table, the bits that
+scipy.special.zeta gives, and q log q takes math.log per element, which
+rounds as scipy.special.xlogy does; the tests hold both to scipy bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy, zeta
 
 from .chain_model import GAMMA0, K0, ChainConfig
 from .collective_couplings import CouplingMatrices
 from .hamiltonian import _drive_terms
 
 # zeta(2m) / (m (2m+1) (2pi)^(2m)) for the Clausen series; (q/2pi)^(2m) <= 4^-m
-# at q <= pi, so 55 terms leave the remainder far below 1e-16.
+# at q <= pi, so 55 terms leave the remainder far below 1e-16.  The table holds
+# the bits of that formula with scipy.special.zeta; the exact rationals
+# |B_2m| / (2 (2m)! m (2m+1)) round differently, by up to 4.2e-15 relative.
 _M = np.arange(1, 56)
-_CL2_COEF = zeta(2.0 * _M) / (_M * (2 * _M + 1) * (2.0 * np.pi) ** (2 * _M))
+_CL2_COEF = np.array([float.fromhex(h) for h in """
+    0x1.c71c71c71c71dp-7 0x1.23456789abce0p-14 0x1.a6b4d4f3e9a87p-21 0x1.8a86a49f629d3p-27
+    0x1.a1598a2de5253p-33 0x1.dcb864bec8df6p-39 0x1.1eff7ef77d018p-44 0x1.6731c59dbd7e2p-50
+    0x1.cf1d1c3362adep-56 0x1.31aba277df946p-61 0x1.9b500f3769b48p-67 0x1.192a4b43f4a91p-72
+    0x1.859450efd56dcp-78 0x1.1100be03bf883p-83 0x1.826bbe4408fa5p-89 0x1.13d916dfdf3f1p-94
+    0x1.8cd5134562480p-100 0x1.1f5e7b4325205p-105 0x1.a2b67ca6ce27fp-111 0x1.32b2acf78bf18p-116
+    0x1.c37fdb3adce08p-122 0x1.4dcf7de2a1bc9p-127 0x1.ef9925ddcd6c3p-133 0x1.7143e331547d7p-138
+    0x1.1412fb72b1f46p-143 0x1.9e1a04dd6ef7ap-149 0x1.37790138fc1f7p-154 0x1.d5d28b75c8176p-160
+    0x1.633a4d50d7a79p-165 0x1.0d36878bd3e3ep-170 0x1.98f1f8fa041cfp-176 0x1.373d3b48c3575p-181
+    0x1.daaac4dc19191p-187 0x1.6a9c395ddfa02p-192 0x1.157aeba0f969ep-197 0x1.a95b4bd7830f8p-203
+    0x1.46845b17341dap-208 0x1.f6034189fc541p-214 0x1.8271e54647236p-219 0x1.29de532c9ae40p-224
+    0x1.cbc1a583f9fcap-230 0x1.633b54a7c3072p-235 0x1.12c74309a0c29p-240 0x1.a98c1953575c6p-246
+    0x1.49db9bcb50bf4p-251 0x1.ffdedf517a260p-257 0x1.8d87a3fbbf1a8p-262 0x1.3501d205386a6p-267
+    0x1.e0ce7c6a5bf57p-273 0x1.765e9c714869bp-278 0x1.23b9cabeb8083p-283 0x1.c6ff8fa4d814bp-289
+    0x1.6315e67f11dccp-294 0x1.154ee2b40528dp-299 0x1.b16db18a6e24cp-305
+""".split()])
+_ZETA3 = float.fromhex("0x1.33ba004f00621p+0")
 _PSD_TOL = 1e-10
 # |Im| below which a Bloch point counts as dark (guided, lossless)
 _DARK_TOL = 1e-9
@@ -55,10 +79,16 @@ class LatticeSumDivergence(ValueError):
     """Li_1 diverges on the light line (phase a multiple of 2 pi)."""
 
 
+def _xlogx(q: np.ndarray) -> np.ndarray:
+    # q log q with 0 log 0 = 0, by the C library's log as scipy.special.xlogy
+    # takes it; np.log's vectorized kernel rounds some points differently.
+    return np.reshape([x * math.log(x) if x else 0.0 for x in q.ravel().tolist()], q.shape)
+
+
 def _clausen2(q: np.ndarray) -> np.ndarray:
     # Cl_2(q) = q - q log q + sum_m zeta(2m) q^(2m+1) / (m (2m+1) (2pi)^(2m)), 0 <= q <= pi
     q = np.asarray(q, dtype=float)
-    return q - xlogy(q, q) + (_CL2_COEF * q[..., None] ** (2 * _M + 1)).sum(axis=-1)
+    return q - _xlogx(q) + (_CL2_COEF * q[..., None] ** (2 * _M + 1)).sum(axis=-1)
 
 
 def _clausen3(q: np.ndarray) -> np.ndarray:
@@ -66,7 +96,7 @@ def _clausen3(q: np.ndarray) -> np.ndarray:
     #           - sum_m zeta(2m) q^(2m+2) / (m (2m+1) (2m+2) (2pi)^(2m)), 0 <= q <= pi
     q = np.asarray(q, dtype=float)
     series = (_CL2_COEF / (2 * _M + 2) * q[..., None] ** (2 * _M + 2)).sum(axis=-1)
-    return float(zeta(3.0)) - 0.75 * q * q + 0.5 * q * xlogy(q, q) - series
+    return _ZETA3 - 0.75 * q * q + 0.5 * q * _xlogx(q) - series
 
 
 def lattice_sum(p: int, q: float | np.ndarray) -> complex | np.ndarray:

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from atomchain.chain_model import (
     DIPOLE_VECTORS,
@@ -10,9 +13,12 @@ from atomchain.chain_model import (
     ChainConfig,
     Polarization,
     positions,
+    read_config,
     validate,
 )
 from atomchain.collective_couplings import build_couplings
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Reference model: the general free-space dyadic Green's tensor and its 3x3
 # dipole contraction, against which the closed-form on-axis kernel is checked.
@@ -154,12 +160,13 @@ def test_build_couplings_structure(dir24, dir24_couplings):
     assert np.array_equal(shift[0::2, 0::2], shift[1::2, 1::2])
 
 
-def test_build_couplings_block_toeplitz(dir24_couplings):
-    block = dir24_couplings.decay[0::2, 0::2]
-    n = block.shape[0]
-    for lag in (1, 5, 11):
-        vals = np.array([block[i, i + lag] for i in range(n - lag)])
-        assert np.abs(vals - vals[0]).max() < 1e-16
+def test_build_couplings_block_toeplitz():
+    # the blocks are gathered as col[|i - j|]; scipy's toeplitz is the reference
+    for name in ("directional", "reciprocal"):
+        couplings = build_couplings(validate(read_config(CONFIG_DIR / f"{name}.cfg")[0]))
+        for matrix in (couplings.decay, couplings.shift):
+            block = matrix[0::2, 0::2]
+            assert np.array_equal(toeplitz(block[:, 0]), block), name
 
 
 def test_distant_chain_couplings_small_and_decreasing():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.ndimage import uniform_filter1d
 
 from atomchain.chain_model import GAMMA0, ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
@@ -11,6 +12,7 @@ from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
     ResolventSingularity,
     SchurScattering,
+    _boxcar,
     gamma_sqrt,
     reciprocity_defect,
     representation_equivalence_check,
@@ -211,6 +213,19 @@ def test_spectrum_scan_output(dir24, dir24_couplings):
     assert 0.0 < scan.worst_residual < 1e-12
     # boxcar preserves the mean of the interior region
     assert scan.forward_smoothed.mean() == pytest.approx(scan.forward.mean(), rel=0.05)
+
+
+def test_boxcar_matches_scipy_uniform_filter_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        size, n = int(rng.integers(2, 40)), int(rng.integers(2, 600))
+        values = rng.random(n) * 10.0 ** int(rng.integers(-3, 4))
+        want = uniform_filter1d(values, size=size, mode="nearest")
+        assert np.array_equal(_boxcar(values, size), want), (size, n)
+    values = rng.random(5)
+    for size in (6, 11, 39):  # a window longer than the signal
+        want = uniform_filter1d(values, size=size, mode="nearest")
+        assert np.array_equal(_boxcar(values, size), want), size
 
 
 def test_spectrum_scan_no_smoothing(dir24, dir24_couplings):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import xlogy, zeta
 
+from atomchain import spectrum
 from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import _drive_terms, assemble
@@ -91,6 +93,19 @@ def test_lattice_sum_against_compensated_partial_sums():
         partials_im.append(math.fsum(term.imag))
     ref = complex(math.fsum(partials_re), math.fsum(partials_im))
     assert abs(lattice_sum(3, phi) - ref) < 1e-8
+
+
+def test_clausen_constants_are_the_scipy_zeta_bits():
+    m = np.arange(1, 56)
+    want = zeta(2.0 * m) / (m * (2 * m + 1) * (2.0 * np.pi) ** (2 * m))
+    assert np.array_equal(spectrum._CL2_COEF, want)
+    assert spectrum._ZETA3 == float(zeta(3.0))
+
+
+def test_xlogx_matches_scipy_xlogy_bit_for_bit():
+    q = np.linspace(0.0, np.pi, 400_001)  # q = 0 included
+    got = spectrum._xlogx(q)
+    assert np.array_equal(got.view(np.int64), xlogy(q, q).view(np.int64))
 
 
 def test_lattice_sum_domain_errors():
