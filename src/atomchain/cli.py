@@ -191,7 +191,8 @@ def cmd_transmit(args, vc, seed):
         if not 0 <= site < vc.n_atoms:
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
     couplings = build_couplings(vc)
-    scattering = SchurScattering(assemble(vc, couplings).matrix, decay_modes(couplings))
+    modes = decay_modes(couplings)
+    scattering = SchurScattering(assemble(vc, couplings).matrix, modes)
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
     columns = {
@@ -211,6 +212,8 @@ def cmd_transmit(args, vc, seed):
     extras = {
         "reciprocity_defect": reciprocity_defect(vc, couplings),
         "worst_resolvent_residual": scan.worst_residual,
+        "decay_channels": scattering.channels.shape[1],
+        "decay_rate_floor": modes.floor,
     }
     return {"transmit": (list(columns), zip(*columns.values()))}, checks, extras
 

@@ -12,10 +12,13 @@ every scan as a self-check.
 
 Scans evaluate S at many energies for one H, so SchurScattering reduces H
 once to its complex Schur form H = Z T Z^dag (Z unitary, T upper
-triangular) and works in decay-channel space.  With U the r decay
-eigenvectors of positive rate, sqrt(gamma) = U diag(sqrt(rate)) U^dag, and
-Y = Z^dag U diag(sqrt(rate)) is formed once.  Each energy then costs one
-triangular solve (E - T) X = Y and the r x r channel matrix
+triangular) and works in decay-channel space.  The channels are the r decay
+eigenvectors U whose rate decay_modes resolves above eigh's rounding (its
+floor, 4 eps max(rate)); every other rate is exactly 0, so sqrt(gamma) =
+U diag(sqrt(rate)) U^dag holds with U alone.  On the shipped 205-atom chains
+r = 138 of 410.  Y = Z^dag U diag(sqrt(rate)) is formed once.  Each energy
+then costs one triangular solve (E - T) X = Y, its residual through the
+triangular product (E - T) X, and the r x r channel matrix
 
     S_r(E) = 1 - i Y^dag X.
 
@@ -33,11 +36,12 @@ E - H per energy with one refinement step, as the reference that the
 benchmark and the tests compare against.
 
 scipy.linalg is imported inside the code that factorizes (schur in
-SchurScattering, solve_triangular per energy, lu_factor and lu_solve in
-t_matrix), not at module level: the CLI imports this module for every
-command, and only transmit and verify run any of it.  The smoothing boxcar
-is a numpy running sum that reproduces scipy.ndimage.uniform_filter1d
-(mode="nearest") bit for bit, so no command loads scipy.ndimage.
+SchurScattering, solve_triangular and ztrmm per energy, lu_factor and
+lu_solve in t_matrix), not at module level: the CLI imports this module
+for every command, and only transmit and verify run any of it.  The
+smoothing boxcar is a numpy running sum that reproduces
+scipy.ndimage.uniform_filter1d (mode="nearest") bit for bit, so no command
+loads scipy.ndimage.
 """
 
 from __future__ import annotations
@@ -60,7 +64,11 @@ class ResolventSingularity(ArithmeticError):
 
 
 def gamma_sqrt(modes: NormalModes) -> np.ndarray:
-    """Hermitian PSD square root of the decay matrix from its eigensystem."""
+    """Hermitian PSD square root of the decay matrix from its eigensystem.
+
+    Built from the rates as decay_modes floors them, so it spans the same
+    channels as SchurScattering.
+    """
     v = modes.vectors
     return (v * np.sqrt(modes.rates)) @ v.conj().T
 
@@ -150,10 +158,12 @@ class ChannelSMatrix:
 class SchurScattering:
     """S(E) of one H at any number of energies from one Schur form of H.
 
-    h is the matrix of H and modes its decay_modes; rates are used as
-    decay_modes clips them, and every positive rate is a channel.  The
-    diagonal of the triangular factor, `eigenvalues`, is the complex
-    spectrum of H (frequency - i * halfwidth, in Schur order).
+    h is the matrix of H and modes its decay_modes.  Every positive rate is
+    a channel, and decay_modes has already set each rate within eigh's
+    rounding of zero to exactly 0, so the channels are the resolved decay
+    modes only (138 of 410 on the shipped chains).  The diagonal of the
+    triangular factor, `eigenvalues`, is the complex spectrum of H
+    (frequency - i * halfwidth, in Schur order).
     """
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
@@ -168,6 +178,7 @@ class SchurScattering:
 
     def s_matrix(self, energy: float) -> ChannelSMatrix:
         from scipy.linalg import solve_triangular
+        from scipy.linalg.blas import ztrmm
 
         a = -self._t
         a[np.diag_indices_from(a)] += energy
@@ -177,8 +188,11 @@ class SchurScattering:
             raise ResolventSingularity(
                 f"energy {energy!r} renders the resolvent system singular: {exc}"
             ) from exc
-        # a non-finite x leaves a non-finite residual, which raises below
-        rel = np.linalg.norm(self._y - a @ x) / self._y_norm
+        # Y - (E - T) X by the triangular product, half the flops of a dense
+        # a @ x; a non-finite x leaves a non-finite residual, which raises
+        residual = ztrmm(-1.0, a, x)
+        residual += self._y
+        rel = np.linalg.norm(residual) / self._y_norm
         if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:
             raise ResolventSingularity(
                 f"resolvent solve at energy {energy!r} left relative residual {rel:.2e}; "

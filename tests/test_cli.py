@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from atomchain import cli
+from atomchain.chain_model import read_config
 from atomchain.cli import CheckResult, main
+from atomchain.collective_couplings import build_couplings
 from atomchain.ensemble import _ConfigRunner
 
 
@@ -112,6 +114,11 @@ def test_transmit_reciprocal_checks(tmp_path):
     assert all(c["passed"] for c in manifest["self_checks"])
     assert manifest["extras"]["reciprocity_defect"] < 1e-12
     assert 0.0 <= manifest["extras"]["worst_resolvent_residual"] < 1e-6
+    # the manifest names the decay channels that carried the scan
+    rates = np.linalg.eigvalsh(build_couplings(read_config(cfg)[0]).decay)
+    floor = manifest["extras"]["decay_rate_floor"]
+    assert floor == pytest.approx(4 * np.finfo(float).eps * rates[-1], rel=1e-12)
+    assert manifest["extras"]["decay_channels"] == np.count_nonzero(rates > floor)
     body = (out / "transmit.csv").read_text().splitlines()
     assert body[0].startswith("energy,t_forward,t_backward")
     assert len(body) == 41

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.ndimage import uniform_filter1d
 
-from atomchain.chain_model import GAMMA0, ChainConfig, validate
+from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
@@ -22,6 +24,8 @@ from atomchain.scattering import (
     transmittance,
 )
 from atomchain.spectrum import NormalModes, decay_modes
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _machinery(vc):
@@ -40,9 +44,12 @@ def test_gamma_sqrt_squares_back(dir24_couplings):
 def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
     # Reference: endpoint rows of the square root of the same float64 decay
     # matrix from a 30-digit eigendecomposition, then the same float64 solve.
-    # The small rates are resolved well above eigh's ~1e-15 error (6.6e-13,
-    # 4.2e-11, ... on this chain), so zeroing them, e.g. below the rank
-    # tolerance max(rates) * dim * eps, moves T by 1.9e-10 from it.
+    # decay_modes zeroes the rates at or below 4 eps max(rate), eigh's own
+    # absolute error: every rate it drops is within 2.8e-16 of zero at 30
+    # digits, and the smallest it keeps is 8.3e-15 at 30 digits, twice the
+    # floor (eigh puts it at 1.7 times).  The usual rank tolerance
+    # dim eps max(rate) is 12 times higher here: it drops resolved rates and
+    # moves T by 1.9e-10 from this reference.
     n2 = 2 * dir24.n_atoms
     ends = [0, 1, n2 - 2, n2 - 1]
     with mp.workdps(30):
@@ -247,3 +254,60 @@ def test_representation_equivalence_two_atoms():
     report = representation_equivalence_check(vc, build_couplings(vc), n_polar=8, n_azimuth=4)
     # the polar rule is exact for the low-order angular dependence
     assert report.detector_defect < 1e-12
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    out = {}
+    for name in ("directional", "reciprocal"):
+        vc = read_config(CONFIG_DIR / f"{name}.cfg")[0]
+        couplings = build_couplings(vc)
+        out[name] = (vc, couplings, assemble(vc, couplings).matrix)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, resonance", [("directional", -0.186), ("reciprocal", 1.367)]
+)
+def test_floored_channels_match_every_positive_rate(shipped, name, resonance):
+    # Reference: the channel set before the floor, every rate eigh leaves
+    # positive, built directly from eigh and a clip at zero.
+    vc, couplings, h = shipped[name]
+    rates, vectors = np.linalg.eigh(couplings.decay)
+    reference = SchurScattering(h, NormalModes(np.clip(rates, 0.0, None), vectors))
+    scattering = SchurScattering(h, decay_modes(couplings))
+    assert reference.channels.shape[1] > 250
+    assert scattering.channels.shape[1] == 138
+    # a long-lived resonance that carries transport: the eigenvalue of H
+    # nearest the peak of T found by a 400-point scan of the window
+    values = scattering.eigenvalues
+    peak = values[np.argmin(np.abs(values - resonance))]
+    assert 1e-5 < -peak.imag < 1e-2
+    energies = np.append(np.linspace(-0.75, 4.25, 15), peak.real)
+    last = vc.n_atoms - 1
+    for energy in energies:
+        got = scattering.s_matrix(float(energy))
+        want = reference.s_matrix(float(energy))
+        fwd, bwd = got.transmittance(0, last), got.transmittance(last, 0)
+        # measured 2.1e-9 on the directional chain at its resonance
+        assert fwd == pytest.approx(want.transmittance(0, last), abs=1e-8), energy
+        assert bwd == pytest.approx(want.transmittance(last, 0), abs=1e-8), energy
+        assert got.unitarity_defect < 1e-8, energy
+        if vc.reciprocal:
+            assert abs(fwd - bwd) < 1e-10, energy
+    assert got.transmittance(0, last) > 0.3  # T at the resonance
+
+
+@pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])
+def test_rate_floor_sits_in_a_spectral_gap(request, shipped, name):
+    # No rate may lie within a factor 1.5 of the floor, so a chain that puts
+    # one near it fails here instead of silently losing or gaining a channel.
+    if name in shipped:
+        couplings = shipped[name][1]
+    else:
+        couplings = request.getfixturevalue(f"{name}_couplings")
+    rates = np.linalg.eigh(couplings.decay)[0]
+    modes = decay_modes(couplings)
+    assert modes.floor == 4 * np.finfo(float).eps * rates[-1]
+    assert not np.any((rates > modes.floor / 1.5) & (rates < 1.5 * modes.floor))
+    assert np.array_equal(modes.rates, np.where(rates > modes.floor, rates, 0.0))
