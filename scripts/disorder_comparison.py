@@ -25,7 +25,7 @@ def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/disorder")
     parser.add_argument("--realizations", type=int, default=50)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)))
     parser.add_argument("--quick", action="store_true",
                         help="8 realizations on the shipped config")
     args = parser.parse_args(argv)

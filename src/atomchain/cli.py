@@ -7,9 +7,9 @@ force, self-check outcomes and the produced filenames.  A command that
 raises writes no table; its manifest names the error and lists no outputs.
 All table files are byte-identical across reruns and across --threads
 settings: BLAS libraries are pinned to a single thread before numpy is
-first imported (parallelism happens at the realization level inside the
-ensemble module, which writes into preallocated slots), and floats are
-serialized with shortest round-trip repr.  The manifest is deterministic
+first imported (--threads sets the worker processes for ensemble cells,
+whose results land in preallocated slots), and floats are serialized
+with shortest round-trip repr.  The manifest is deterministic
 except for its wall_clock_seconds field.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime or
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=50)
     p.add_argument("--time", type=float, default=13.0)
     p.add_argument("--single", action="store_true", help="skip the zero-angle twin")
-    p.add_argument("--threads", type=int, default=1, help="realization-level workers")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for ensemble cells")
 
     p = sub.add_parser("verify")  # intentionally undocumented maintenance suite
     common(p)

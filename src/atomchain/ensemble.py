@@ -3,8 +3,12 @@
 Each (w_index, realization_index) cell derives its random stream as
 SeedSequence(master_seed, spawn_key=(w_index, realization_index)), so any
 single cell can be recomputed bit-exactly in isolation and results cannot
-depend on execution order or worker count.  Aggregation reads the
-preallocated result arrays in fixed index order.
+depend on execution order or worker count.  With max_workers > 1 the cells
+run in a pool of worker processes started by fork (POSIX only), which
+inherit the configuration's shared pieces, so only a cell's indices and its
+five scalars cross the pipe; one worker runs them in a plain loop, with no
+pool.  Aggregation reads the preallocated result arrays in fixed index
+order.
 
 Observables per realization, evaluated on the state at observation_time:
 
@@ -31,7 +35,6 @@ it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,6 +73,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
+        if self.max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         if not all(w >= 0 for w in self.w_values):
             raise ValueError("disorder variances must be >= 0")
 
@@ -146,6 +151,70 @@ def _aggregate(values: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
+# The _ConfigRunner of a forked pool worker, set by _init_worker as it starts.
+_worker_runner: _ConfigRunner | None = None
+
+
+def _init_worker(runner: _ConfigRunner) -> None:
+    global _worker_runner
+    _worker_runner = runner
+
+
+def _run_cell(cell, runner: _ConfigRunner | None = None):
+    """(cell, scalars, None) or (cell, None, error) for one (w_index, slots) cell.
+
+    Pool workers pass no runner and use the one they inherited at fork.
+    """
+    runner = _worker_runner if runner is None else runner
+    spec = runner.spec
+    wi, slots = cell
+    w = spec.w_values[wi]
+    try:
+        disorder = None
+        if w > 0.0:
+            disorder = disorder_sample(
+                realization_seed(spec.master_seed, wi, slots[0]),
+                w,
+                runner.vc.n_atoms,
+            )
+        payload = runner.run_cell(disorder)
+    except Exception as exc:  # recorded, not raised: partial ensembles are useful
+        return cell, None, f"{type(exc).__name__}: {exc}"
+    bad = [name for name, val in payload.items() if not np.isfinite(val)]
+    if bad:
+        return cell, None, f"non-finite {', '.join(bad)}"
+    return cell, payload, None
+
+
+def _run_in_processes(runner: _ConfigRunner, cells: list, workers: int) -> list:
+    """Every cell's _run_cell outcome, in cell order, from `workers` forked processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker would import numpy and atomchain afresh
+    # (about 0.26 s, against about 17 ms per cell) and need the runner pickled.
+    # The executor forks every worker before it starts its own threads.
+    outcomes = []
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(runner,),
+    ) as pool:
+        try:
+            # a cell takes milliseconds, so one cell per pipe message costs nothing
+            for outcome in pool.map(_run_cell, cells, chunksize=1):
+                outcomes.append(outcome)
+        except BrokenProcessPool as exc:
+            lost = [(wi, ri) for wi, slots in cells[len(outcomes):] for ri in slots]
+            raise RuntimeError(
+                f"an ensemble worker process died; {len(lost)} realizations "
+                f"(w_index, realization) never returned: {lost}"
+            ) from exc
+    return outcomes
+
+
 def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Sweep disorder variances with n_realizations seeded draws of spec.base_config.
 
@@ -153,7 +222,10 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     disorder is seed independent); each W > 0 entry is one cell per draw.
     A cell fails when it raises or when any of its scalars is non-finite;
     failures are recorded for every slot they cover and skipped, and more
-    than 5 percent failing aborts the run.
+    than 5 percent failing aborts the run.  Up to spec.max_workers forked
+    processes run the cells, never more than there are cells; a worker
+    process that dies aborts the run with a RuntimeError naming the
+    realizations that never returned.
     """
     from .spectrum import transparency_window
 
@@ -170,27 +242,11 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         else:
             cells.extend((wi, range(ri, ri + 1)) for ri in range(n_r))
 
-    def worker(cell):
-        wi, slots = cell
-        w = spec.w_values[wi]
-        try:
-            disorder = None
-            if w > 0.0:
-                disorder = disorder_sample(
-                    realization_seed(spec.master_seed, wi, slots[0]),
-                    w,
-                    runner.vc.n_atoms,
-                )
-            payload = runner.run_cell(disorder)
-        except Exception as exc:  # recorded, not raised: partial ensembles are useful
-            return cell, None, f"{type(exc).__name__}: {exc}"
-        bad = [name for name, val in payload.items() if not np.isfinite(val)]
-        if bad:
-            return cell, None, f"non-finite {', '.join(bad)}"
-        return cell, payload, None
-
-    with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:
-        outcomes = list(pool.map(worker, cells))
+    workers = min(spec.max_workers, len(cells))
+    if workers <= 1:
+        outcomes = [_run_cell(cell, runner) for cell in cells]
+    else:
+        outcomes = _run_in_processes(runner, cells, workers)
 
     for (wi, slots), payload, err in outcomes:
         if err is not None:

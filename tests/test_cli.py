@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output schemas, byte determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -331,6 +332,29 @@ def test_disorder_partial_ensemble_is_honest(tmp_path, monkeypatch):
         diff = base[1:] - twin[1:]
         assert diff_mean == pytest.approx(diff.mean(), rel=1e-12)
         assert diff_sem == pytest.approx(diff.std(ddof=1) / np.sqrt(20), rel=1e-12)
+
+
+def test_dead_ensemble_worker_exits_3_and_writes_no_table(tmp_path, monkeypatch):
+    run_cell = _ConfigRunner.run_cell
+
+    def dies(self, disorder):
+        if disorder is not None and disorder.seed.spawn_key == (1, 2):
+            os._exit(1)  # only ever reached in a forked worker
+        return run_cell(self, disorder)
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", dies)
+    cfg = write_cfg(tmp_path / "chain.cfg", mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(
+        ["disorder", "--config", cfg, "--out", str(out), "--realizations", "4",
+         "--time", "1", "--threads", "2"]
+    )
+    assert rc == 3
+    assert multiprocessing.active_children() == []
+    manifest = read_strict_manifest(out)
+    assert manifest["error"].startswith("RuntimeError: an ensemble worker process died")
+    assert manifest["outputs"] == [] and manifest["extras"] == {}
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_zero_disorder_row_with_no_data_fails_its_check(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +41,12 @@ def test_spec_validation():
         small_spec(w_values=(-0.1,))
     with pytest.raises(ValueError, match="variances"):
         small_spec(w_values=(0.0, float("nan")))
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_spec_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="max_workers"):
+        small_spec(max_workers=workers)
 
 
 def test_realization_seed_is_stable_and_cell_specific():
@@ -163,6 +171,67 @@ def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
     for name, values in result.scalars.items():
         assert np.isnan(values[1, 3]), name
         assert result.aggregates[name][:, 2].tolist() == [21, 20], name
+
+
+def fail_on_draw(spawn_key, fail):
+    """A run_cell that calls fail() on the W > 0 draw with spawn_key; forked workers inherit it."""
+    run_cell = _ConfigRunner.run_cell
+
+    def patched(self, disorder):
+        if disorder is not None and disorder.seed.spawn_key == spawn_key:
+            fail()
+        return run_cell(self, disorder)
+
+    return patched
+
+
+def synthetic_failure():
+    raise RuntimeError("synthetic failure")
+
+
+def test_raising_cell_is_recorded_alike_in_workers_and_serially(monkeypatch):
+    monkeypatch.setattr(_ConfigRunner, "run_cell", fail_on_draw((1, 3), synthetic_failure))
+    spec = small_spec(n_realizations=21)
+    serial, pooled = (run_ensemble(replace(spec, max_workers=w)) for w in (1, 2))
+    assert multiprocessing.active_children() == []
+    for result in (serial, pooled):
+        assert result.failures == [(1, 3, "RuntimeError: synthetic failure")]
+        for name, values in result.scalars.items():
+            assert np.isnan(values[1, 3]), name
+            assert result.aggregates[name][:, 2].tolist() == [21, 20], name
+    for name in serial.scalars:
+        assert np.array_equal(serial.scalars[name], pooled.scalars[name], equal_nan=True)
+        assert np.array_equal(serial.aggregates[name], pooled.aggregates[name])
+
+
+def test_dead_worker_aborts_naming_the_lost_cells(monkeypatch):
+    monkeypatch.setattr(_ConfigRunner, "run_cell", fail_on_draw((1, 3), lambda: os._exit(1)))
+    with pytest.raises(RuntimeError, match=r"worker process died; \d+ realizations") as info:
+        run_ensemble(small_spec(max_workers=2))
+    assert "(1, 3)" in str(info.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_never_outnumbers_the_cells(monkeypatch):
+    import concurrent.futures
+
+    pool_sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    serial = run_ensemble(small_spec(n_realizations=1))
+    # one W = 0 cell and one W > 0 draw: two cells, so two workers of three
+    pooled = run_ensemble(small_spec(n_realizations=1, max_workers=3))
+    # a single cell runs in this process
+    run_ensemble(small_spec(w_values=(0.5,), n_realizations=1, max_workers=3))
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
+    for name in serial.scalars:
+        assert np.array_equal(serial.scalars[name], pooled.scalars[name]), name
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "directional.cfg"

@@ -1,7 +1,9 @@
 """Importing the CLI loads numpy only; scipy waits for the code that factorizes.
 
 scipy's import costs several times the physics of a short `dispersion` or
-`evolve` run, so no atomchain module imports it at module level.  The
+`evolve` run, so no atomchain module imports it at module level.  Nor does
+any command load a process pool module (`concurrent.*`, `multiprocessing*`)
+unless an ensemble runs on more than one worker.  The
 benchmark's set-up child takes `read_config, validate, build_couplings,
 assemble, decay_modes, gamma_sqrt` from atomchain.cli, so those names must
 stay importable from there without pulling scipy in either.
@@ -25,19 +27,22 @@ from atomchain.cli import (
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def pool_modules():
+    return sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+
 cfg, out = sys.argv[1], sys.argv[2]
 vc = validate(read_config(cfg)[0])
 couplings = build_couplings(vc)
 assemble(vc, couplings)
 gamma_sqrt(decay_modes(couplings))
-report = {"setup": scipy_modules()}
+report = {"setup": scipy_modules() + pool_modules()}
 for argv in (
     ["dispersion", "--n-k", "64"],
     ["evolve", "--times", "0.5,1", "--n-angles", "16"],
-    ["disorder", "--realizations", "2", "--sqrt-w", "0,1"],
+    ["disorder", "--realizations", "2", "--sqrt-w", "0,1", "--threads", "1"],
 ):
     code = cli.main(argv + ["--config", cfg, "--out", out + "/" + argv[0]])
-    report[argv[0]] = [code, scipy_modules()]
+    report[argv[0]] = [code, scipy_modules(), pool_modules()]
 argv = ["transmit", "--n-e", "16", "--smoothing", "3"]  # a 3-sample boxcar
 code = cli.main(argv + ["--config", cfg, "--out", out + "/transmit"])
 report["transmit"] = [code, scipy_modules()]
@@ -63,7 +68,7 @@ def test_cli_commands_without_factorization_load_no_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["setup"] == []
     for command in ("dispersion", "evolve", "disorder"):
-        assert report[command] == [0, []], command
+        assert report[command] == [0, [], []], command
     code, loaded = report["transmit"]
     assert code == 0
     assert "scipy.linalg" in loaded
