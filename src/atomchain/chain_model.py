@@ -25,10 +25,6 @@ GAMMA0 = 1.0
 LAMBDA0 = 1.0
 K0 = 2.0 * np.pi / LAMBDA0
 
-#: Largest lattice constant (in units of LAMBDA0) at which strictly guided,
-#: lossless collective modes can exist: half the transition wavelength.
-SUBRADIANCE_LATTICE_LIMIT = 0.5
-
 
 class ConfigError(ValueError):
     """Raised when a configuration value is rejected; names the bad field."""
@@ -74,11 +70,6 @@ class ChainConfig:
     def control_wavevector_abs(self) -> float:
         """The control wavevector in absolute units (1/LAMBDA0)."""
         return self.control_wavevector / self.lattice_const
-
-    @property
-    def subradiant(self) -> bool:
-        """The spacing admits strictly guided, lossless collective modes."""
-        return self.lattice_const <= SUBRADIANCE_LATTICE_LIMIT
 
     @property
     def reciprocal(self) -> bool:

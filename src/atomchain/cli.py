@@ -358,8 +358,8 @@ def cmd_disorder(args, vc, seed):
     tables["aggregate"] = (["config", "observable", "sqrt_w", "mean", "sem", "n"], agg_rows)
 
     extras = {"sqrt_w": sqrt_w, "paired": not args.single}
-    for key in ("transparency_window", "failures"):
-        extras.update({key + suffix: getattr(r, key) for suffix, r in results.items()})
+    extras.update({"transparency_window" + s: r.transparency_window for s, r in results.items()})
+    extras.update({"failures" + s: r.failures for s, r in results.items()})
     checks = []
     if 0.0 in sqrt_w:
         # peak-to-peak, not std: the mean of n identical floats rounds at the

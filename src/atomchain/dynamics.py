@@ -1,4 +1,4 @@
-"""Time evolution, spin-wave preparation, far fields, and detection.
+"""Time evolution, spin-wave preparation, and far fields.
 
 Evolution under the non-Hermitian Hamiltonian has two propagators.
 Propagator does one spectral decomposition and then evaluates snapshots
@@ -26,19 +26,6 @@ independent of this choice.  The field is summed over one dipole per
 site, D_n = c_n+ d_+ + c_n- d_-, with one envelope per (node, site).
 On the chain's k grid k_j z_n = -pi n + 2 pi j n / N exactly, so momentum
 spectra are one FFT of (-1)^n exp(i s k_c z_n) c_ns per polarization s.
-
-Detection rows use the plane-wave (R -> infinity) limit instead: for a
-direction Rhat and transverse polarization e in {theta_hat, phi_hat},
-
-    J_(Rhat,e),(n,s) = sqrt(3 GAMMA0 / 8 pi) * (e . d_s) * exp(-i k0 Rhat . r_n),
-
-with the R^2 dOmega flux normalization folded in, so that the quadrature
-sum over directions and polarizations of |J amps|^2 equals the
-instantaneous decay rate amps^dagger decay amps exactly.  The polar
-integral uses Gauss-Legendre nodes in cos(theta) and the azimuthal one a
-uniform trapezoid, which together integrate the chain's flux integrand to
-machine precision at the default 128 x 8 grid for chains up to a few
-hundred wavelengths long.
 """
 
 from __future__ import annotations
@@ -47,16 +34,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .chain_model import (
-    DIPOLE_VECTORS,
-    GAMMA0,
-    K0,
-    POLARIZATIONS,
-    ChainConfig,
-    positions,
-)
+from .chain_model import DIPOLE_VECTORS, K0, POLARIZATIONS, ChainConfig, positions
 from .hamiltonian import NonHermitianHamiltonian
 
 _CONDITION_LIMIT = 1e12
@@ -71,9 +50,8 @@ _STANDOFF = 20.0  # wavelengths from each chain end to its edge probe
 
 @dataclass(frozen=True)
 class ExcitationState:
-    """Ground amplitude plus flattened excited amplitudes at one time."""
+    """Flattened excited amplitudes at one time."""
 
-    ground_amp: complex
     amps: np.ndarray
     time: float
 
@@ -98,8 +76,8 @@ def spin_wave(
     """Gaussian wavepacket in the minus manifold with a running carrier.
 
     c_{n,-} ~ exp(i (k_carrier + k_c) z_n) * exp(-(n - n0)^2 / width_sq),
-    rescaled so the total excited population is exactly excited_fraction;
-    the ground amplitude carries the rest of the norm.  n0 defaults to
+    rescaled so the total excited population is exactly excited_fraction.
+    n0 defaults to
     launch_site(vc).  width_sq is the squared spatial width in units of
     lattice_const^2; k_carrier is an absolute quasimomentum (units
     1/LAMBDA0) added on top of the drive wavevector that the packet inherits.
@@ -124,9 +102,7 @@ def spin_wave(
         amps *= np.sqrt(excited_fraction / total)
     else:
         amps[:] = 0.0
-    return ExcitationState(
-        ground_amp=complex(np.sqrt(1.0 - excited_fraction)), amps=amps, time=0.0
-    )
+    return ExcitationState(amps=amps, time=0.0)
 
 
 class Propagator:
@@ -250,7 +226,7 @@ class TaylorPropagator:
 def propagate_to(
     state: ExcitationState, prop: Propagator | TaylorPropagator, t: float
 ) -> ExcitationState:
-    """Evolve a state to absolute time t (ground amplitude is constant)."""
+    """Evolve a state to absolute time t."""
     if t < state.time:
         raise ValueError(f"cannot propagate backwards: {t} < {state.time}")
     amps = prop.apply(state.amps, t - state.time)
@@ -346,7 +322,7 @@ def momentum_distribution(state: ExcitationState, vc: ChainConfig) -> MomentumDi
 
 
 # --------------------------------------------------------------------------
-# Far fields and detection.
+# Far fields.
 
 
 def far_field_intensity(
@@ -426,52 +402,3 @@ def mirror_ratio_flip(
 
     product = right_left_ratio(state) * right_left_ratio(mirror_state(state))
     return float(abs(np.log10(product)))
-
-
-@dataclass(frozen=True)
-class DetectorGrid:
-    """Sphere-of-directions quadrature: Gauss-Legendre polar x uniform azimuth.
-
-    weights sum to 4 pi.  The plane-wave rows have no detector distance.
-    """
-
-    cos_polar: np.ndarray
-    polar_weights: np.ndarray
-    azimuths: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.cos_polar.size * self.azimuths.size
-
-    def node_weights(self) -> np.ndarray:
-        w_phi = 2.0 * np.pi / self.azimuths.size
-        return np.repeat(self.polar_weights * w_phi, self.azimuths.size)
-
-
-def detector_grid(n_polar: int = 128, n_azimuth: int = 8) -> DetectorGrid:
-    cos_polar, polar_weights = leggauss(n_polar)
-    azimuths = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    return DetectorGrid(cos_polar=cos_polar, polar_weights=polar_weights, azimuths=azimuths)
-
-
-def detector_rows(grid: DetectorGrid, vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Jump rows (n_nodes * 2 polarizations, 2 N) and matching node weights.
-
-    Row order: node-major (polar outer, azimuth inner), theta_hat
-    polarization before phi_hat; columns follow the flattened (site,
-    polarization) index.  Rows are conjugated and carry sqrt of photon flux
-    per unit solid angle; weights are the quadrature measure.
-    """
-    x = grid.cos_polar[:, None]
-    sin_th = np.sqrt(1.0 - x * x)
-    cp, sp = np.cos(grid.azimuths), np.sin(grid.azimuths)
-    theta_hat = np.stack(np.broadcast_arrays(x * cp, x * sp, -sin_th), axis=-1)
-    phi_hat = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(x)), axis=-1)
-    dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
-    # (polar, azimuth, polarization, source polarization)
-    amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
-    phase = np.exp(-1.0j * K0 * x * positions(vc))
-    rows = amp[:, :, :, None, :] * phase[:, None, None, :, None]
-    rows = np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
-    return rows, np.repeat(grid.node_weights(), 2)
-

@@ -4,11 +4,11 @@ Each (w_index, realization_index) cell derives its random stream as
 SeedSequence(master_seed, spawn_key=(w_index, realization_index)), so any
 single cell can be recomputed bit-exactly in isolation and results cannot
 depend on execution order or worker count.  With max_workers > 1 the cells
-run in a pool of worker processes started by fork (POSIX only), which
-inherit the configuration's shared pieces, so only a cell's indices and its
-five scalars cross the pipe; one worker runs them in a plain loop, with no
-pool.  Aggregation reads the preallocated result arrays in fixed index
-order.
+run in a pool of worker processes started by fork (POSIX only), at most one
+per CPU the process may run on.  The workers inherit the configuration's
+shared pieces, so only a cell's indices and its five scalars cross the
+pipe; one worker runs them in a plain loop, with no pool.  Aggregation
+reads the preallocated result arrays in fixed index order.
 
 Observables per realization, evaluated on the state at observation_time:
 
@@ -35,6 +35,7 @@ it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from .dynamics import (
     spin_wave,
 )
 from .hamiltonian import DisorderRealization, assemble, disorder_sample
+from .spectrum import transparency_window
 
 SCALAR_OBSERVABLES = (
     "survival",
@@ -75,6 +77,8 @@ class EnsembleSpec:
             raise ValueError("n_realizations must be >= 1")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
+        if not 0.0 <= self.observation_time < np.inf:
+            raise ValueError("observation_time must be finite and >= 0")
         if not all(w >= 0 for w in self.w_values):
             raise ValueError("disorder variances must be >= 0")
 
@@ -223,12 +227,10 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     A cell fails when it raises or when any of its scalars is non-finite;
     failures are recorded for every slot they cover and skipped, and more
     than 5 percent failing aborts the run.  Up to spec.max_workers forked
-    processes run the cells, never more than there are cells; a worker
-    process that dies aborts the run with a RuntimeError naming the
-    realizations that never returned.
+    processes run the cells, never more than there are cells or CPUs this
+    process may run on; a worker process that dies aborts the run with a
+    RuntimeError naming the realizations that never returned.
     """
-    from .spectrum import transparency_window
-
     runner = _ConfigRunner(spec)
     n_w, n_r = len(spec.w_values), spec.n_realizations
     scalars = {name: np.full((n_w, n_r), np.nan) for name in SCALAR_OBSERVABLES}
@@ -242,7 +244,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         else:
             cells.extend((wi, range(ri, ri + 1)) for ri in range(n_r))
 
-    workers = min(spec.max_workers, len(cells))
+    workers = min(spec.max_workers, len(cells), len(os.sched_getaffinity(0)))
     if workers <= 1:
         outcomes = [_run_cell(cell, runner) for cell in cells]
     else:

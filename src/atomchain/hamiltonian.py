@@ -22,9 +22,7 @@ from .collective_couplings import CouplingMatrices
 class DisorderRealization:
     """One draw of i.i.d. on-site energies with zero mean and variance W."""
 
-    seed: object
     energies: np.ndarray
-    variance_w: float
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def disorder_sample(seed, w: float, n_atoms: int) -> DisorderRealization:
     else:
         half = np.sqrt(3.0 * w)
         energies = np.random.default_rng(seed).uniform(-half, half, n_atoms)
-    return DisorderRealization(seed=seed, energies=energies, variance_w=float(w))
+    return DisorderRealization(energies=energies)
 
 
 def assemble(

@@ -1,4 +1,5 @@
-"""Photon scattering on the chain: t matrix, S matrix, transmittance scans.
+"""Photon scattering on the chain: t matrix, S matrix, transmittance scans,
+and the detection rows behind the decay matrix.
 
 The elastic amplitude between input and output channels attached to the
 collective decay operator is
@@ -42,6 +43,20 @@ for every command, and only transmit and verify run any of it.  The
 smoothing boxcar is a numpy running sum that reproduces
 scipy.ndimage.uniform_filter1d (mode="nearest") bit for bit, so no command
 loads scipy.ndimage.
+
+Photodetection ties decay to emitted photons.  Detection rows take the
+plane-wave (R -> infinity) limit: for a direction Rhat and transverse
+polarization e in {theta_hat, phi_hat},
+
+    J_(Rhat,e),(n,s) = sqrt(3 GAMMA0 / 8 pi) * (e . d_s) * exp(-i k0 Rhat . r_n),
+
+with the R^2 dOmega flux normalization folded in, so that the quadrature
+sum over directions and polarizations of |J amps|^2 equals the
+instantaneous decay rate amps^dagger decay amps exactly.  The polar
+integral uses Gauss-Legendre nodes in cos(theta) and the azimuthal one a
+uniform trapezoid, which together integrate the chain's flux integrand to
+machine precision at the fixed 128 x 8 grid for chains up to a few
+hundred wavelengths long.
 """
 
 from __future__ import annotations
@@ -49,14 +64,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .chain_model import GAMMA0, ChainConfig, flatten_index
+from .chain_model import (
+    DIPOLE_VECTORS,
+    GAMMA0,
+    K0,
+    POLARIZATIONS,
+    ChainConfig,
+    flatten_index,
+    positions,
+)
 from .collective_couplings import CouplingMatrices
-from .dynamics import detector_grid, detector_rows
 from .hamiltonian import drive_hamiltonian
 from .spectrum import NormalModes, decay_modes
 
 _RESIDUAL_LIMIT = 1e-6
+_N_POLAR = 128  # Gauss-Legendre nodes in cos(theta) of the detector sphere
+_N_AZIMUTH = 8  # uniform trapezoid nodes in phi
 
 
 class ResolventSingularity(ArithmeticError):
@@ -103,7 +128,6 @@ def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class SMatrixResult:
-    energy: float
     matrix: np.ndarray
     unitarity_defect: float
 
@@ -113,7 +137,7 @@ def s_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> SMatrixRes
     t = t_matrix(energy, h, gamma_half)
     s = np.eye(t.shape[0], dtype=complex) - 1j * t
     defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
-    return SMatrixResult(energy=energy, matrix=s, unitarity_defect=float(defect))
+    return SMatrixResult(matrix=s, unitarity_defect=float(defect))
 
 
 def _endpoint_channels(source_site: int, target_site: int) -> tuple[list[int], list[int]]:
@@ -293,26 +317,48 @@ def reciprocity_defect(vc: ChainConfig, couplings: CouplingMatrices) -> float:
     return float(num / den)
 
 
+def detector_rows(vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Jump rows (128 * 8 nodes * 2 polarizations, 2 N) and matching node weights.
+
+    Row order: node-major (polar outer, azimuth inner), theta_hat
+    polarization before phi_hat; columns follow the flattened (site,
+    polarization) index.  Rows are conjugated and carry sqrt of photon flux
+    per unit solid angle; weights are the quadrature measure, which sums to
+    4 pi over the nodes.
+    """
+    cos_polar, polar_weights = leggauss(_N_POLAR)
+    azimuths = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
+    x = cos_polar[:, None]
+    sin_th = np.sqrt(1.0 - x * x)
+    cp, sp = np.cos(azimuths), np.sin(azimuths)
+    theta_hat = np.stack(np.broadcast_arrays(x * cp, x * sp, -sin_th), axis=-1)
+    phi_hat = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(x)), axis=-1)
+    dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
+    # (polar, azimuth, polarization, source polarization)
+    amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
+    phase = np.exp(-1.0j * K0 * x * positions(vc))
+    rows = amp[:, :, :, None, :] * phase[:, None, None, :, None]
+    rows = np.conj(rows, out=rows).reshape(-1, 2 * vc.n_atoms)
+    node_weights = np.repeat(polar_weights * (2.0 * np.pi / _N_AZIMUTH), _N_AZIMUTH)
+    return rows, np.repeat(node_weights, 2)
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Max-norm defects of two independent reconstructions of the decay matrix."""
 
     normal_mode_defect: float
     detector_defect: float
-    n_detector_nodes: int
 
 
 def representation_equivalence_check(
-    vc: ChainConfig,
-    couplings: CouplingMatrices,
-    n_polar: int = 128,
-    n_azimuth: int = 8,
+    vc: ChainConfig, couplings: CouplingMatrices
 ) -> EquivalenceReport:
     """Rebuild gamma from its eigensystem and from angular detector rows.
 
     The detector route integrates outgoing flux channels over the sphere
-    with Gauss-Legendre polar nodes; agreement with the directly built
-    matrix ties the dissipative part to physical photon emission.
+    (detector_rows); agreement with the directly built matrix ties the
+    dissipative part to physical photon emission.
     """
     decay = couplings.decay
     modes = decay_modes(couplings)
@@ -321,12 +367,9 @@ def representation_equivalence_check(
     scale = np.max(np.abs(decay))
     normal_mode_defect = float(np.max(np.abs(normal_mode - decay)) / scale)
 
-    grid = detector_grid(n_polar=n_polar, n_azimuth=n_azimuth)
-    rows, weights = detector_rows(grid, vc)
+    rows, weights = detector_rows(vc)
     detector = rows.conj().T @ (weights[:, None] * rows)
     detector_defect = float(np.max(np.abs(detector - decay)) / scale)
     return EquivalenceReport(
-        normal_mode_defect=normal_mode_defect,
-        detector_defect=detector_defect,
-        n_detector_nodes=grid.n_nodes,
+        normal_mode_defect=normal_mode_defect, detector_defect=detector_defect
     )

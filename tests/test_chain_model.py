@@ -81,12 +81,6 @@ def test_single_atom_allowed():
     assert vc.n_atoms == 1
 
 
-def test_subradiance_flag_threshold():
-    assert validate(ChainConfig(n_atoms=4, lattice_const=0.125)).subradiant
-    assert validate(ChainConfig(n_atoms=4, lattice_const=0.5)).subradiant
-    assert not validate(ChainConfig(n_atoms=4, lattice_const=0.51)).subradiant
-
-
 def test_control_wavevector_per_site_scaling():
     vc = validate(ChainConfig(n_atoms=4, lattice_const=0.25, control_wavevector=np.pi / 5))
     assert vc.control_wavevector_abs == pytest.approx((np.pi / 5) / 0.25, rel=1e-15)

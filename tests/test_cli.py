@@ -13,7 +13,8 @@ from atomchain import cli
 from atomchain.chain_model import read_config
 from atomchain.cli import CheckResult, main
 from atomchain.collective_couplings import build_couplings
-from atomchain.ensemble import _ConfigRunner
+from atomchain.ensemble import _ConfigRunner, realization_seed
+from atomchain.hamiltonian import disorder_sample
 
 
 BASE = {
@@ -288,16 +289,20 @@ def test_disorder_single_mode(tmp_path):
     assert manifest["extras"]["transparency_window"] > 0
 
 
+def is_draw(runner, disorder, w_index, realization):
+    """Whether disorder is the documented draw of cell (w_index, realization) in runner's spec."""
+    spec = runner.spec
+    seed = realization_seed(spec.master_seed, w_index, realization)
+    draw = disorder_sample(seed, spec.w_values[w_index], runner.vc.n_atoms)
+    return disorder is not None and np.array_equal(disorder.energies, draw.energies)
+
+
 def test_disorder_partial_ensemble_is_honest(tmp_path, monkeypatch):
     # one cell of the driven config fails; its twin cell succeeds
     run_cell = _ConfigRunner.run_cell
 
     def flaky(self, disorder):
-        if (
-            disorder is not None
-            and disorder.seed.spawn_key == (1, 0)
-            and self.vc.mixing_angle != 0.0
-        ):
+        if is_draw(self, disorder, 1, 0) and self.vc.mixing_angle != 0.0:
             raise RuntimeError("synthetic cell failure")
         return run_cell(self, disorder)
 
@@ -338,11 +343,13 @@ def test_dead_ensemble_worker_exits_3_and_writes_no_table(tmp_path, monkeypatch)
     run_cell = _ConfigRunner.run_cell
 
     def dies(self, disorder):
-        if disorder is not None and disorder.seed.spawn_key == (1, 2):
+        if is_draw(self, disorder, 1, 2):
             os._exit(1)  # only ever reached in a forked worker
         return run_cell(self, disorder)
 
     monkeypatch.setattr(_ConfigRunner, "run_cell", dies)
+    # two usable CPUs on any host, so --threads 2 forks and os._exit stays in a worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = write_cfg(tmp_path / "chain.cfg", mixing_angle=np.pi / 4)
     out = tmp_path / "out"
     rc = main(

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from atomchain.chain_model import (
@@ -16,12 +17,11 @@ from atomchain.chain_model import (
 )
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import NonHermitianHamiltonian, assemble, disorder_sample
+from atomchain.scattering import detector_rows
 from atomchain.dynamics import (
     ExcitationState,
     Propagator,
     TaylorPropagator,
-    detector_grid,
-    detector_rows,
     edge_probes,
     far_field_intensity,
     far_field_ring,
@@ -49,7 +49,6 @@ def rec24_prop(rec24, rec24_couplings):
 def test_spin_wave_normalization(dir24):
     state = spin_wave(dir24, n0=12, width_sq=6.0, excited_fraction=0.2)
     assert state.norm == pytest.approx(0.2, abs=1e-14)
-    assert state.ground_amp == pytest.approx(np.sqrt(0.8), abs=1e-14)
     assert state.time == 0.0
     # only the minus branch is populated at launch
     assert np.all(state.amps[0::2] == 0.0)
@@ -132,7 +131,7 @@ def test_populations_split(dir24):
 def test_site_participation_uniform_state(dir24):
     amps = np.zeros(48, dtype=complex)
     amps[1::2] = 1.0 / np.sqrt(24)
-    state = ExcitationState(ground_amp=0.0, amps=amps, time=0.0)
+    state = ExcitationState(amps=amps, time=0.0)
     ipr, participation = site_participation(state)
     assert participation == pytest.approx(24.0, rel=1e-12)
     assert ipr == pytest.approx(1.0 / 24.0, rel=1e-12)
@@ -185,7 +184,7 @@ def test_propagator_falls_back_to_expm_for_defective_h():
         with pytest.warns(UserWarning, match="condition number"):
             prop = Propagator(NonHermitianHamiltonian(matrix=matrix))
         amps = np.array([0.3, 0.8j, -0.5][: len(matrix)])
-        state = ExcitationState(ground_amp=0.0, amps=amps, time=0.0)
+        state = ExcitationState(amps=amps, time=0.0)
         for t in (0.5, 2.0):
             got = propagate_to(state, prop, t).amps
             want = expm(-1.0j * matrix * t) @ state.amps
@@ -220,7 +219,7 @@ def test_mirror_ratio_flip_dichotomy(rec24, dir24, rec24_prop, dir24_prop):
 def test_far_field_single_atom_pattern_and_peak_normalization():
     vc = validate(ChainConfig(n_atoms=1, lattice_const=0.125))
     amps = np.array([0.6, 0.0], dtype=complex)  # plus branch, |c|^2 = 0.36
-    state = ExcitationState(ground_amp=0.8, amps=amps, time=0.0)
+    state = ExcitationState(amps=amps, time=0.0)
     radius = 400.0
     thetas = np.linspace(0.0, np.pi, 9)
     points = np.stack(
@@ -257,35 +256,37 @@ def test_edge_probes_positions(dir24):
     assert np.allclose(probes[1], [0, 0, length + 20.0])
 
 
-def test_detector_grid_weights():
-    grid = detector_grid(n_polar=32, n_azimuth=8)
-    assert grid.node_weights().sum() == pytest.approx(4 * np.pi, rel=1e-12)
+def test_detector_grid_weights(dir24):
+    _, weights = detector_rows(dir24)
+    # two polarization rows per node share its weight
+    assert np.array_equal(weights[0::2], weights[1::2])
+    assert weights[0::2].sum() == pytest.approx(4 * np.pi, rel=1e-12)
 
 
 def test_single_atom_detector_integral_recovers_linewidth():
     vc = validate(ChainConfig(n_atoms=1, lattice_const=0.125))
     state = spin_wave(vc, n0=0, width_sq=4.0, excited_fraction=0.5)
-    rows, weights = detector_rows(detector_grid(), vc)
+    rows, weights = detector_rows(vc)
     rate = float(weights @ np.abs(rows @ state.amps) ** 2)
     assert rate / state.norm == pytest.approx(GAMMA0, abs=1e-6)
 
 
 def test_flux_conservation_matches_norm_loss(dir24, dir24_couplings, dir24_prop):
     state = propagate_to(spin_wave(dir24, n0=12, width_sq=6.0), dir24_prop, 2.0)
-    rows, weights = detector_rows(detector_grid(), dir24)
+    rows, weights = detector_rows(dir24)
     flux = float(weights @ np.abs(rows @ state.amps) ** 2)
     expected = float(np.real(state.amps.conj() @ (dir24_couplings.decay @ state.amps)))
     assert abs(flux - expected) / expected < 1e-4
 
 
-def looped_detector_rows(grid, vc):
+def looped_detector_rows(cos_polar, azimuths, vc):
     """Reference rows: one direction, polarization and atom branch at a time."""
     zs = np.arange(vc.n_atoms) * vc.lattice_const
     rows = []
-    for x in grid.cos_polar:
+    for x in cos_polar:
         sin_th = np.sqrt(1.0 - x * x)
         phase = np.exp(-1.0j * K0 * x * zs)
-        for phi in grid.azimuths:
+        for phi in azimuths:
             cp, sp = np.cos(phi), np.sin(phi)
             for pol_vec in (np.array([x * cp, x * sp, -sin_th]), np.array([-sp, cp, 0.0])):
                 row = np.zeros(2 * vc.n_atoms, dtype=complex)
@@ -297,10 +298,12 @@ def looped_detector_rows(grid, vc):
 
 
 def test_detector_rows_match_looped_reference(dir24):
-    grid = detector_grid(n_polar=16, n_azimuth=6)
-    rows, weights = detector_rows(grid, dir24)
-    assert np.abs(rows - looped_detector_rows(grid, dir24)).max() < 1e-15
-    assert np.array_equal(weights, np.repeat(grid.node_weights(), 2))
+    # the documented grid: 128 Gauss-Legendre polar nodes x 8 trapezoid azimuths
+    cos_polar, polar_weights = leggauss(128)
+    azimuths = 2.0 * np.pi * np.arange(8) / 8
+    rows, weights = detector_rows(dir24)
+    assert np.abs(rows - looped_detector_rows(cos_polar, azimuths, dir24)).max() < 1e-15
+    assert np.array_equal(weights, np.repeat(polar_weights * (2.0 * np.pi / 8), 16))
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,10 @@ def test_spec_validation():
         small_spec(w_values=(-0.1,))
     with pytest.raises(ValueError, match="variances"):
         small_spec(w_values=(0.0, float("nan")))
+    # each of these times would fail every cell, and the run with them
+    for t in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="observation_time"):
+            small_spec(observation_time=t)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -154,13 +158,21 @@ def test_compare_configs_rejects_mismatched_geometry():
         compare_configs(spec, stretched)
 
 
+def is_draw(runner, disorder, w_index, realization):
+    """Whether disorder is the documented draw of cell (w_index, realization) in runner's spec."""
+    spec = runner.spec
+    seed = realization_seed(spec.master_seed, w_index, realization)
+    draw = disorder_sample(seed, spec.w_values[w_index], runner.vc.n_atoms)
+    return disorder is not None and np.array_equal(disorder.energies, draw.energies)
+
+
 def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
     spec = small_spec(n_realizations=21)
     run_cell = _ConfigRunner.run_cell
 
     def blank(self, disorder):
         scalars = run_cell(self, disorder)
-        if disorder is not None and disorder.seed.spawn_key == (1, 3):
+        if is_draw(self, disorder, 1, 3):
             scalars["realspace_ipr"] = scalars["realspace_participation"] = np.nan
         return scalars
 
@@ -173,12 +185,12 @@ def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
         assert result.aggregates[name][:, 2].tolist() == [21, 20], name
 
 
-def fail_on_draw(spawn_key, fail):
-    """A run_cell that calls fail() on the W > 0 draw with spawn_key; forked workers inherit it."""
+def fail_on_draw(cell, fail):
+    """A run_cell that calls fail() on the W > 0 draw of cell; forked workers inherit it."""
     run_cell = _ConfigRunner.run_cell
 
     def patched(self, disorder):
-        if disorder is not None and disorder.seed.spawn_key == spawn_key:
+        if is_draw(self, disorder, *cell):
             fail()
         return run_cell(self, disorder)
 
@@ -189,7 +201,13 @@ def synthetic_failure():
     raise RuntimeError("synthetic failure")
 
 
+def two_cpus(monkeypatch):
+    """Let the ensemble see two usable CPUs, so max_workers=2 forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def test_raising_cell_is_recorded_alike_in_workers_and_serially(monkeypatch):
+    two_cpus(monkeypatch)
     monkeypatch.setattr(_ConfigRunner, "run_cell", fail_on_draw((1, 3), synthetic_failure))
     spec = small_spec(n_realizations=21)
     serial, pooled = (run_ensemble(replace(spec, max_workers=w)) for w in (1, 2))
@@ -205,6 +223,7 @@ def test_raising_cell_is_recorded_alike_in_workers_and_serially(monkeypatch):
 
 
 def test_dead_worker_aborts_naming_the_lost_cells(monkeypatch):
+    two_cpus(monkeypatch)  # os._exit must run in a worker, never in this process
     monkeypatch.setattr(_ConfigRunner, "run_cell", fail_on_draw((1, 3), lambda: os._exit(1)))
     with pytest.raises(RuntimeError, match=r"worker process died; \d+ realizations") as info:
         run_ensemble(small_spec(max_workers=2))
@@ -212,22 +231,43 @@ def test_dead_worker_aborts_naming_the_lost_cells(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_never_outnumbers_the_cells(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool run_ensemble starts, on a 4-CPU view of the host."""
     import concurrent.futures
 
-    pool_sizes = []
+    sizes = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            pool_sizes.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    return sizes
+
+
+def test_pool_never_outnumbers_the_cells(pool_sizes):
     serial = run_ensemble(small_spec(n_realizations=1))
     # one W = 0 cell and one W > 0 draw: two cells, so two workers of three
     pooled = run_ensemble(small_spec(n_realizations=1, max_workers=3))
     # a single cell runs in this process
     run_ensemble(small_spec(w_values=(0.5,), n_realizations=1, max_workers=3))
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
+    for name in serial.scalars:
+        assert np.array_equal(serial.scalars[name], pooled.scalars[name]), name
+
+
+def test_pool_never_outnumbers_the_usable_cpus(pool_sizes, monkeypatch):
+    # one W = 0 cell and three W > 0 draws: four cells, asking for eight workers
+    spec = small_spec(n_realizations=3, max_workers=8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = run_ensemble(spec)
+    # a process pinned to one CPU runs its cells in a plain loop
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    serial = run_ensemble(spec)
     assert pool_sizes == [2]
     assert multiprocessing.active_children() == []
     for name in serial.scalars:

@@ -156,4 +156,3 @@ def test_disorder_sample_bounds_property(seed):
     w = 0.8
     real = disorder_sample(seed, w, 64)
     assert np.all(np.abs(real.energies) <= np.sqrt(3 * w) + 1e-12)
-    assert real.variance_w == w

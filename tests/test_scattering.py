@@ -251,7 +251,7 @@ def test_representation_equivalence_small_chain(dir24, dir24_couplings):
 
 def test_representation_equivalence_two_atoms():
     vc = validate(ChainConfig(n_atoms=2, lattice_const=0.125, mixing_angle=np.pi / 4))
-    report = representation_equivalence_check(vc, build_couplings(vc), n_polar=8, n_azimuth=4)
+    report = representation_equivalence_check(vc, build_couplings(vc))
     # the polar rule is exact for the low-order angular dependence
     assert report.detector_defect < 1e-12
 
