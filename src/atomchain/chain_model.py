@@ -10,13 +10,13 @@ both transverse to the chain axis.
 
 Single-excitation amplitudes are flattened site-major with the plus state
 first: flat index = 2 * site + (0 if s == +1 else 1).  Every matrix in the
-package uses this ordering.
+package uses this ordering, and the trailing index 0/1 is the only
+spelling of polarization: DIPOLES[0] = d_+ and DIPOLES[1] = d_-.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,23 +30,9 @@ class ConfigError(ValueError):
     """Raised when a configuration value is rejected; names the bad field."""
 
 
-class Polarization(enum.IntEnum):
-    PLUS = +1
-    MINUS = -1
-
-
-POLARIZATIONS = (Polarization.PLUS, Polarization.MINUS)
-
-# Circular dipole unit vectors in the Cartesian (x, y, z) basis.
-DIPOLE_VECTORS = {
-    Polarization.PLUS: np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0),
-    Polarization.MINUS: np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
-}
-
-
-def flatten_index(site: int, pol: Polarization) -> int:
-    """Site-major flattening, plus before minus."""
-    return 2 * site + (0 if pol == Polarization.PLUS else 1)
+# Circular dipole unit vectors in the Cartesian (x, y, z) basis, one row per
+# polarization in layout order: row 0 = d_+, row 1 = d_-.
+DIPOLES = np.array([[-1.0, -1.0j, 0.0], [1.0, -1.0j, 0.0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,3 @@ def read_config(path: str | Path) -> tuple[ChainConfig, int | None]:
         raise ConfigError(f"{path}: seed must be >= 0, got {seed}")
     return ChainConfig(**kwargs), seed
 
-
-def with_mixing_angle(config: ChainConfig, mixing_angle: float) -> ChainConfig:
-    """Copy of the config with only the drive mixing angle changed."""
-    return replace(config, mixing_angle=mixing_angle)

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .chain_model import ConfigError, GAMMA0, read_config, validate, with_mixing_angle
+from .chain_model import ConfigError, GAMMA0, read_config, validate
 from .collective_couplings import build_couplings
 from .dynamics import (
     Propagator,
@@ -184,6 +184,10 @@ def cmd_transmit(args, vc, seed):
         raise ConfigError(
             f"--e-max must exceed --e-min when --n-e > 1, got {args.e_max!r} <= {args.e_min!r}"
         )
+    if args.n_e > 1 and args.smoothing > args.e_max - args.e_min:
+        raise ConfigError(
+            f"--smoothing {args.smoothing!r} is wider than the scan from --e-min to --e-max"
+        )
     _require_at_least(args.smoothing, 0.0, "--smoothing")
     source = 0 if args.source is None else args.source
     target = vc.n_atoms - 1 if args.target is None else args.target
@@ -308,12 +312,15 @@ def cmd_disorder(args, vc, seed):
     sqrt_w = _parse_float_list(args.sqrt_w, "--sqrt-w")
     if any(s < 0 for s in sqrt_w):
         raise ConfigError("--sqrt-w values must be non-negative")
+    w_values = tuple(s * s for s in sqrt_w)
+    if not all(3.0 * w < np.inf for w in w_values):
+        raise ConfigError(f"--sqrt-w values must keep the draw bound sqrt(3 W) finite: {sqrt_w}")
     _require_at_least(args.realizations, 1, "--realizations")
     _require_at_least(args.time, 0.0, "--time")
     _require_at_least(args.threads, 1, "--threads")
     spec = EnsembleSpec(
         base_config=vc,
-        w_values=tuple(s * s for s in sqrt_w),
+        w_values=w_values,
         n_realizations=args.realizations,
         master_seed=seed,
         observation_time=args.time,
@@ -321,9 +328,11 @@ def cmd_disorder(args, vc, seed):
     )
     # keyed by the suffix of each result's table stems and manifest keys
     if args.single:
+        configs = {"": vc}
         results = {"": run_ensemble(spec)}
     else:
-        comparison = compare_configs(spec, with_mixing_angle(vc, 0.0))
+        configs = {"_base": vc, "_twin": replace(vc, mixing_angle=0.0)}
+        comparison = compare_configs(spec, configs["_twin"])
         results = {"_base": comparison.result_a, "_twin": comparison.result_b}
 
     tables, agg_rows = {}, []
@@ -358,7 +367,7 @@ def cmd_disorder(args, vc, seed):
     tables["aggregate"] = (["config", "observable", "sqrt_w", "mean", "sem", "n"], agg_rows)
 
     extras = {"sqrt_w": sqrt_w, "paired": not args.single}
-    extras.update({"transparency_window" + s: r.transparency_window for s, r in results.items()})
+    extras.update({"transparency_window" + s: transparency_window(c) for s, c in configs.items()})
     extras.update({"failures" + s: r.failures for s, r in results.items()})
     checks = []
     if 0.0 in sqrt_w:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_model import DIPOLE_VECTORS, K0, POLARIZATIONS, ChainConfig, positions
+from .chain_model import DIPOLES, K0, ChainConfig, positions
 from .hamiltonian import NonHermitianHamiltonian
 
 _CONDITION_LIMIT = 1e12
@@ -347,7 +347,7 @@ def far_field_intensity(
     rhat = sep / dist[..., None]
     node_r = np.linalg.norm(pts, axis=1)
     # each site's dipole D_n = c_n+ d_+ + c_n- d_-, then one transverse projection
-    dipoles = state.amps.reshape(-1, 2) @ np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS])
+    dipoles = state.amps.reshape(-1, 2) @ DIPOLES
     envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
     proj = np.einsum("mnc,nc->mn", rhat, dipoles)
     field = envelope @ dipoles - np.einsum("mn,mnc->mc", envelope * proj, rhat)
@@ -370,19 +370,14 @@ def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
     return pts
 
 
-def edge_probes(vc: ChainConfig) -> np.ndarray:
-    """Two on-axis probe nodes _STANDOFF beyond the chain ends, mirror symmetric."""
-    length = (vc.n_atoms - 1) * vc.lattice_const
-    return np.array([[0.0, 0.0, -_STANDOFF], [0.0, 0.0, length + _STANDOFF]])
-
-
 def mirror_ratio_flip(
     state: ExcitationState, propagator: Propagator, vc: ChainConfig, t: float
 ) -> float:
     """|log10| of the right/left emission ratio product under site reversal.
 
     Evolve the state and its site-reversed twin for the same duration and
-    read the physical intensity at the two on-axis edge probes.  When the
+    read the physical intensity at two on-axis probes, _STANDOFF beyond
+    either chain end (mirror symmetric about the chain).  When the
     dynamics commutes with site reversal the two ratios are exact
     reciprocals and the product is 1 (return value 0 up to rounding); a
     directional chain transports the two launches toward the same side and
@@ -391,8 +386,10 @@ def mirror_ratio_flip(
     normalization of far_field_intensity is divided back out.  Each ratio
     is read off _unit_scaled amplitudes, so no decay underflows it.
     """
-    probes = edge_probes(vc)
-    geometry = np.array([_STANDOFF, (vc.n_atoms - 1) * vc.lattice_const + _STANDOFF]) ** 2
+    z = np.array([-_STANDOFF, (vc.n_atoms - 1) * vc.lattice_const + _STANDOFF])
+    probes = np.zeros((2, 3))
+    probes[:, 2] = z
+    geometry = z**2
 
     def right_left_ratio(initial: ExcitationState) -> float:
         evolved = propagate_to(initial, propagator, t)

@@ -27,10 +27,6 @@ on-site energies added in O(N); no cell factorizes H.  Cells whose Taylor
 series would need more than N^2 / 200 steps (long observation times) fall
 back to the spectral dynamics.Propagator of the assembled H, whose cost
 does not grow with t.
-
-The transparency window of each configuration is recomputed from the Bloch
-bands and logged with the results so disorder strengths can be read against
-it.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .dynamics import (
     spin_wave,
 )
 from .hamiltonian import DisorderRealization, assemble, disorder_sample
-from .spectrum import transparency_window
 
 SCALAR_OBSERVABLES = (
     "survival",
@@ -79,8 +74,9 @@ class EnsembleSpec:
             raise ValueError("max_workers must be >= 1")
         if not 0.0 <= self.observation_time < np.inf:
             raise ValueError("observation_time must be finite and >= 0")
-        if not all(w >= 0 for w in self.w_values):
-            raise ValueError("disorder variances must be >= 0")
+        # disorder_sample draws on [-sqrt(3 W), sqrt(3 W)], so that bound must be finite
+        if not all(0.0 <= 3.0 * w < np.inf for w in self.w_values):
+            raise ValueError("disorder variances must be >= 0 with sqrt(3 W) finite")
 
 
 def realization_seed(master_seed: int, w_index: int, realization_index: int) -> np.random.SeedSequence:
@@ -93,7 +89,6 @@ class EnsembleResult:
     scalars: dict[str, np.ndarray]          # (n_w, n_realizations)
     aggregates: dict[str, np.ndarray]       # (n_w, 3): mean, sem, n
     failures: list[tuple[int, int, str]] = field(default_factory=list)
-    transparency_window: float = float("nan")
 
 
 def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
@@ -264,12 +259,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         )
 
     aggregates = {name: _aggregate(vals) for name, vals in scalars.items()}
-    return EnsembleResult(
-        scalars=scalars,
-        aggregates=aggregates,
-        failures=failures,
-        transparency_window=transparency_window(runner.vc),
-    )
+    return EnsembleResult(scalars=scalars, aggregates=aggregates, failures=failures)
 
 
 @dataclass

@@ -71,8 +71,8 @@ def disorder_sample(seed, w: float, n_atoms: int) -> DisorderRealization:
     default_rng accepts, including a SeedSequence, so ensembles can hand in
     spawned per-realization streams.
     """
-    if not w >= 0.0:
-        raise ValueError(f"disorder variance must be >= 0, got {w!r}")
+    if not 0.0 <= 3.0 * w < np.inf:
+        raise ValueError(f"disorder variance must be >= 0 with sqrt(3 w) finite, got {w!r}")
     if w == 0.0:
         energies = np.zeros(n_atoms)
     else:

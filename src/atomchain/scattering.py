@@ -66,15 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .chain_model import (
-    DIPOLE_VECTORS,
-    GAMMA0,
-    K0,
-    POLARIZATIONS,
-    ChainConfig,
-    flatten_index,
-    positions,
-)
+from .chain_model import DIPOLES, GAMMA0, K0, ChainConfig, positions
 from .collective_couplings import CouplingMatrices
 from .hamiltonian import drive_hamiltonian
 from .spectrum import NormalModes, decay_modes
@@ -141,9 +133,7 @@ def s_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> SMatrixRes
 
 
 def _endpoint_channels(source_site: int, target_site: int) -> tuple[list[int], list[int]]:
-    rows = [flatten_index(target_site, p) for p in (+1, -1)]
-    cols = [flatten_index(source_site, p) for p in (+1, -1)]
-    return rows, cols
+    return [2 * target_site, 2 * target_site + 1], [2 * source_site, 2 * source_site + 1]
 
 
 def transmittance(s: SMatrixResult, source_site: int, target_site: int) -> float:
@@ -333,7 +323,7 @@ def detector_rows(vc: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     cp, sp = np.cos(azimuths), np.sin(azimuths)
     theta_hat = np.stack(np.broadcast_arrays(x * cp, x * sp, -sin_th), axis=-1)
     phi_hat = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(x)), axis=-1)
-    dipoles = np.stack([DIPOLE_VECTORS[s] for s in POLARIZATIONS], axis=-1)
+    dipoles = np.stack(DIPOLES, axis=-1)
     # (polar, azimuth, polarization, source polarization)
     amp = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi)) * (np.stack([theta_hat, phi_hat], axis=2) @ dipoles)
     phase = np.exp(-1.0j * K0 * x * positions(vc))

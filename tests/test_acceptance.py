@@ -12,12 +12,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from atomchain.chain_model import ChainConfig, validate, with_mixing_angle
+from atomchain.chain_model import ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.dynamics import (
     Propagator,
@@ -294,7 +295,7 @@ def test_disorder_localization_ordering():
         observation_time=13.0,
         max_workers=4,
     )
-    comparison = compare_configs(spec, with_mixing_angle(base, 0.0))
+    comparison = compare_configs(spec, replace(base, mixing_angle=0.0))
     ipr_a = comparison.result_a.scalars["realspace_ipr"]
     ipr_b = comparison.result_b.scalars["realspace_ipr"]
     n = spec.n_realizations

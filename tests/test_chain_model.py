@@ -1,23 +1,16 @@
-import dataclasses
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from atomchain.chain_model import (
-    DIPOLE_VECTORS,
+    DIPOLES,
     GAMMA0,
     K0,
     LAMBDA0,
     ChainConfig,
     ConfigError,
-    Polarization,
-    flatten_index,
     positions,
     read_config,
     validate,
-    with_mixing_angle,
 )
 
 
@@ -28,25 +21,13 @@ def test_natural_units():
 
 
 def test_dipole_vectors_orthonormal_and_transverse():
-    dp = DIPOLE_VECTORS[Polarization.PLUS]
-    dm = DIPOLE_VECTORS[Polarization.MINUS]
-    assert abs(np.vdot(dp, dp) - 1.0) < 1e-15
-    assert abs(np.vdot(dm, dm) - 1.0) < 1e-15
-    assert abs(np.vdot(dp, dm)) < 1e-15
-    assert dp[2] == 0.0 and dm[2] == 0.0
-
-
-@given(st.integers(min_value=0, max_value=500), st.sampled_from([Polarization.PLUS, Polarization.MINUS]))
-def test_flatten_round_trip(site, pol):
-    idx = flatten_index(site, pol)
-    assert divmod(idx, 2) == (site, 0 if pol == Polarization.PLUS else 1)
-    assert 0 <= idx < 2 * (site + 1)
-
-
-def test_flatten_is_site_major_plus_first():
-    assert flatten_index(0, Polarization.PLUS) == 0
-    assert flatten_index(0, Polarization.MINUS) == 1
-    assert flatten_index(3, Polarization.PLUS) == 6
+    # one row per polarization in layout order: d_+ = -(x + i y) / sqrt(2), then d_-
+    x, y, _ = np.eye(3)
+    assert DIPOLES.shape == (2, 3)
+    assert np.abs(DIPOLES.conj() @ DIPOLES.T - np.eye(2)).max() < 1e-15
+    assert np.all(DIPOLES[:, 2] == 0.0)
+    assert np.abs(DIPOLES[0] + (x + 1j * y) / np.sqrt(2.0)).max() < 1e-15
+    assert np.abs(DIPOLES[1] - (x - 1j * y) / np.sqrt(2.0)).max() < 1e-15
 
 
 def test_positions_spacing():
@@ -89,13 +70,6 @@ def test_control_wavevector_per_site_scaling():
 def test_as_config_round_trip():
     cfg = ChainConfig(n_atoms=9, lattice_const=0.2, mixing_angle=0.4, detuning=-0.3)
     assert validate(cfg) == cfg
-
-
-def test_with_mixing_angle():
-    cfg = ChainConfig(n_atoms=9, lattice_const=0.2, mixing_angle=0.4)
-    twin = with_mixing_angle(cfg, 0.0)
-    assert twin.mixing_angle == 0.0
-    assert dataclasses.replace(twin, mixing_angle=0.4) == cfg
 
 
 def test_config_file_round_trip(tmp_path):

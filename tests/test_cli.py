@@ -5,16 +5,18 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from atomchain import cli
-from atomchain.chain_model import read_config
+from atomchain.chain_model import read_config, validate
 from atomchain.cli import CheckResult, main
 from atomchain.collective_couplings import build_couplings
 from atomchain.ensemble import _ConfigRunner, realization_seed
 from atomchain.hamiltonian import disorder_sample
+from atomchain.spectrum import transparency_window
 
 
 BASE = {
@@ -242,6 +244,14 @@ def test_disorder_paired_outputs(tmp_path):
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert agg[0] == "config,observable,sqrt_w,mean,sem,n"
     assert any(line.startswith("twin,") for line in agg[1:])
+    # each window is that of its config: the chain and its zero-angle twin
+    vc = validate(read_config(cfg)[0])
+    windows = {s: manifest["extras"]["transparency_window_" + s] for s in ("base", "twin")}
+    assert windows == {
+        "base": transparency_window(vc),
+        "twin": transparency_window(replace(vc, mixing_angle=0.0)),
+    }
+    assert windows["base"] != windows["twin"]
 
 
 def test_near_zero_mixing_angle_bands_are_even(tmp_path):
@@ -505,6 +515,10 @@ def test_exit_2_source_site_out_of_range(tmp_path, capsys):
         ("evolve", ["--width-sq", "nan"], "--width-sq"),
         ("evolve", ["--k-carrier", "inf"], "--k-carrier"),
         ("evolve", ["--times", "nan"], "--times"),
+        ("transmit", ["--n-e", "3", "--e-min", "0", "--e-max", "1e-12"], "--smoothing"),
+        ("transmit", ["--n-e", "3", "--e-min", "0", "--e-max", "1e-300"], "--smoothing"),
+        ("disorder", ["--sqrt-w", "0,1e200"], "--sqrt-w"),
+        ("disorder", ["--sqrt-w", "1e154"], "--sqrt-w"),
     ],
 )
 def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, flags, flag):

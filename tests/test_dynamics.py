@@ -7,14 +7,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from atomchain.chain_model import (
-    DIPOLE_VECTORS,
+    DIPOLES,
     GAMMA0,
     K0,
     ChainConfig,
-    Polarization,
     positions,
     validate,
 )
+from atomchain import dynamics
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import NonHermitianHamiltonian, assemble, disorder_sample
 from atomchain.scattering import detector_rows
@@ -22,7 +22,6 @@ from atomchain.dynamics import (
     ExcitationState,
     Propagator,
     TaylorPropagator,
-    edge_probes,
     far_field_intensity,
     far_field_ring,
     launch_site,
@@ -249,11 +248,20 @@ def test_far_field_ring_geometry(dir24):
     assert radii[0] >= 50.0 * max(length, 1.0)
 
 
-def test_edge_probes_positions(dir24):
-    probes = edge_probes(dir24)
+def test_edge_probes_positions(dir24, dir24_prop, monkeypatch):
+    # mirror_ratio_flip reads both launches at two on-axis probes 20 wavelengths past the ends
+    seen = []
+
+    def recording(state, points, vc):
+        seen.append(points)
+        return far_field_intensity(state, points, vc)
+
+    monkeypatch.setattr(dynamics, "far_field_intensity", recording)
+    mirror_ratio_flip(spin_wave(dir24), dir24_prop, dir24, 2.0)
     length = (dir24.n_atoms - 1) * dir24.lattice_const
-    assert np.allclose(probes[0], [0, 0, -20.0])
-    assert np.allclose(probes[1], [0, 0, length + 20.0])
+    assert len(seen) == 2
+    for probes in seen:
+        assert np.allclose(probes, [[0, 0, -20.0], [0, 0, length + 20.0]])
 
 
 def test_detector_grid_weights(dir24):
@@ -290,9 +298,9 @@ def looped_detector_rows(cos_polar, azimuths, vc):
             cp, sp = np.cos(phi), np.sin(phi)
             for pol_vec in (np.array([x * cp, x * sp, -sin_th]), np.array([-sp, cp, 0.0])):
                 row = np.zeros(2 * vc.n_atoms, dtype=complex)
-                for col, s in enumerate((Polarization.PLUS, Polarization.MINUS)):
+                for col, d in enumerate(DIPOLES):
                     amp0 = np.sqrt(3.0 * GAMMA0 / (8.0 * np.pi))
-                    row[col::2] = amp0 * (pol_vec @ DIPOLE_VECTORS[s]) * phase
+                    row[col::2] = amp0 * (pol_vec @ d) * phase
                 rows.append(np.conj(row))
     return np.array(rows)
 
@@ -381,8 +389,7 @@ def looped_far_field(state, points, vc):
     rhat = sep / dist[..., None]
     node_r = np.linalg.norm(points, axis=1)
     field = np.zeros((points.shape[0], 3), dtype=complex)
-    for col, s in enumerate((Polarization.PLUS, Polarization.MINUS)):
-        d = DIPOLE_VECTORS[s]
+    for col, d in enumerate(DIPOLES):
         pattern = d[None, None, :] - rhat * (rhat @ d)[..., None]
         envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
         field += np.einsum("mn,mnc->mc", state.amps[col::2][None, :] * envelope, pattern)
@@ -412,7 +419,9 @@ def test_far_field_and_momentum_match_references(n_atoms, mixing_angle):
     state = spin_wave(vc)
     state = replace(state, amps=blocks.apply(state.amps, 6.5), time=6.5)
     assert np.any(state.amps[0::2]) == (mixing_angle != 0.0)
-    for points in (far_field_ring(vc), edge_probes(vc)):
+    length = (vc.n_atoms - 1) * vc.lattice_const
+    edge_probes = np.array([[0.0, 0.0, -20.0], [0.0, 0.0, length + 20.0]])
+    for points in (far_field_ring(vc), edge_probes):
         got = far_field_intensity(state, points, vc)
         assert _max_relative(got, looped_far_field(state, points, vc)) <= 1e-13
     mom = momentum_distribution(state, vc)

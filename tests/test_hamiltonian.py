@@ -80,6 +80,9 @@ def test_disorder_sample_errors():
         disorder_sample(0, -0.1, 5)
     with pytest.raises(ValueError, match="variance"):
         disorder_sample(0, float("nan"), 5)
+    for w in (float("inf"), 1e308):  # 1e308 is finite, but its bound sqrt(3 w) is not
+        with pytest.raises(ValueError, match="variance"):
+            disorder_sample(0, w, 5)
 
 
 def test_disorder_zero_variance_is_exactly_zero():
