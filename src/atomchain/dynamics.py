@@ -1,8 +1,8 @@
 """Time evolution, spin-wave preparation, and far fields.
 
 Evolution under the non-Hermitian Hamiltonian has two propagators.
-Propagator does one spectral decomposition and then evaluates snapshots
-diagonally, which makes many-snapshot protocols exact and cheap.  If the
+Propagator does one spectral decomposition (eig + inv of H) and then
+evaluates any time diagonally, so its cost does not grow with t.  If the
 eigenvector matrix is ill-conditioned (1-norm condition number, read off
 the inverse it needs anyway, above 1e12 or not finite, which never happens
 for the chains studied here but can for contrived inputs) it falls back
@@ -12,6 +12,9 @@ TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
 33, 488, 2011, Algorithm 3.2) and applies H through its polarization
 blocks, so its cost grows with t ||H||_1 instead of with N^3.
+taylor_pays is the one rule that picks between them: the Taylor series
+runs while the steps a job needs in all stay within the measured
+break-even of N^2 / 200.
 
 Far-field conventions.  A detector at P sees each excited (site n,
 polarization s) through its transverse dipole pattern with the exact
@@ -22,8 +25,9 @@ source distance R_n = |P - r_n|:
 and I(P) = |sum_ns A_ns(P) c_ns|^2.  The |P|/R_n envelope normalizes out
 the overall free-space falloff so that a single excited atom at the origin
 has peak intensity exactly 1; relative and ratio quantities are
-independent of this choice.  The field is summed over one dipole per
-site, D_n = c_n+ d_+ + c_n- d_-, with one envelope per (node, site).
+independent of this choice.  far_field_rows holds A_ns(P) for a set of
+nodes, so the fields of any number of states at those nodes are one
+product with it.
 On the chain's k grid k_j z_n = -pi n + 2 pi j n / N exactly, so momentum
 spectra are one FFT of (-1)^n exp(i s k_c z_n) c_ns per polarization s.
 """
@@ -223,6 +227,20 @@ class TaylorPropagator:
         return f.reshape(-1)
 
 
+def taylor_pays(steps: int, n_atoms: int) -> bool:
+    """Whether `steps` Taylor steps in all cost less than one Propagator of the chain.
+
+    Propagator's eig + inv costs the same at every t; the Taylor series
+    costs s steps of up to 55 block products.  Taylor runs while
+    s <= N^2 / 200, which tracks the measured break-even step count of one
+    ensemble cell (2-core VM, 1 BLAS thread, W = 1, median of 3 runs,
+    Propagator reading its condition number off the inverse): 1.37, 1.71,
+    1.07 and 0.81 N^2 / 200 at N = 16, 50, 205 and 300 (s = 224 at
+    N = 205), with single runs spread over 0.75-1.79 N^2 / 200.
+    """
+    return steps * 200 <= n_atoms**2
+
+
 def propagate_to(
     state: ExcitationState, prop: Propagator | TaylorPropagator, t: float
 ) -> ExcitationState:
@@ -325,13 +343,13 @@ def momentum_distribution(state: ExcitationState, vc: ChainConfig) -> MomentumDi
 # Far fields.
 
 
-def far_field_intensity(
-    state: ExcitationState, grid_points: np.ndarray, vc: ChainConfig
-) -> np.ndarray:
-    """Scattered intensity at each 3D node, exact source distances.
+def far_field_rows(grid_points: np.ndarray, vc: ChainConfig) -> np.ndarray:
+    """(M, 3, 2N) map from flattened amplitudes to the transverse field at each node.
 
-    Nodes must be far from every atom; anything within one wavelength of
-    the chain is rejected (the far-field form does not hold there).
+    rows[m, :, 2n + s] = A_ns(P_m) with exact source distances, so the field
+    at node m is rows[m] @ amps.  Nodes must be far from every atom;
+    anything within one wavelength of the chain is rejected (the far-field
+    form does not hold there).
     """
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     if pts.shape[1] != 3:
@@ -346,12 +364,20 @@ def far_field_intensity(
         raise ValueError("far-field node inside the chain bounding box (within 1 wavelength)")
     rhat = sep / dist[..., None]
     node_r = np.linalg.norm(pts, axis=1)
-    # each site's dipole D_n = c_n+ d_+ + c_n- d_-, then one transverse projection
-    dipoles = state.amps.reshape(-1, 2) @ DIPOLES
     envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
-    proj = np.einsum("mnc,nc->mn", rhat, dipoles)
-    field = envelope @ dipoles - np.einsum("mn,mnc->mc", envelope * proj, rhat)
-    return np.real(np.einsum("mc,mc->m", field.conj(), field))
+    # d_s - rhat (rhat . d_s), laid out (node, component, site, polarization)
+    proj = rhat @ DIPOLES.T
+    rows = DIPOLES.T[None, :, None, :] - rhat.transpose(0, 2, 1)[..., None] * proj[:, None]
+    rows *= envelope[:, None, :, None]
+    return rows.reshape(pts.shape[0], 3, 2 * vc.n_atoms)
+
+
+def far_field_intensity(
+    state: ExcitationState, grid_points: np.ndarray, vc: ChainConfig
+) -> np.ndarray:
+    """Scattered intensity at each 3D node: far_field_rows times the amplitudes."""
+    field = far_field_rows(grid_points, vc) @ state.amps
+    return np.sum(field.real**2 + field.imag**2, axis=1)
 
 
 def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
@@ -371,7 +397,7 @@ def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
 
 
 def mirror_ratio_flip(
-    state: ExcitationState, propagator: Propagator, vc: ChainConfig, t: float
+    state: ExcitationState, propagator: Propagator | TaylorPropagator, vc: ChainConfig, t: float
 ) -> float:
     """|log10| of the right/left emission ratio product under site reversal.
 

@@ -24,9 +24,9 @@ Every cell starts from the same spin wave, launched at the default site of
 dynamics.spin_wave.  A cell propagates it with dynamics.TaylorPropagator,
 built once per configuration from the disorder-free H, with the cell's
 on-site energies added in O(N); no cell factorizes H.  Cells whose Taylor
-series would need more than N^2 / 200 steps (long observation times) fall
-back to the spectral dynamics.Propagator of the assembled H, whose cost
-does not grow with t.
+series would need more than N^2 / 200 steps (long observation times; the
+rule is dynamics.taylor_pays) fall back to the spectral
+dynamics.Propagator of the assembled H, whose cost does not grow with t.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .dynamics import (
     propagate_to,
     site_participation,
     spin_wave,
+    taylor_pays,
 )
 from .hamiltonian import DisorderRealization, assemble, disorder_sample
 
@@ -116,14 +117,7 @@ class _ConfigRunner:
     def run_cell(self, disorder: DisorderRealization | None) -> dict[str, float]:
         t = self.spec.observation_time
         prop = self.blocks if disorder is None else self.blocks.with_onsite(disorder.energies)
-        # Propagator's eig + inv costs the same at every t; the Taylor
-        # series costs s steps of up to 55 block products.  Taylor runs while
-        # s <= N^2 / 200, which tracks the measured break-even step count
-        # (2-core VM, 1 BLAS thread, W = 1, median of 3 runs, Propagator
-        # reading its condition number off the inverse): 1.37, 1.71, 1.07
-        # and 0.81 N^2 / 200 at N = 16, 50, 205 and 300 (s = 224 at N = 205),
-        # with single runs spread over 0.75-1.79 N^2 / 200.
-        if prop.steps(t) * 200 > self.vc.n_atoms**2:
+        if not taylor_pays(prop.steps(t), self.vc.n_atoms):
             prop = Propagator(assemble(self.vc, self.couplings, disorder))
         state = propagate_to(self.state0, prop, t)
         return _cell_scalars(self.vc, state)

@@ -259,9 +259,15 @@ def spectrum_scan(
 
     worst_residual is the largest relative resolvent residual of the scan.
     smoothing_window is an energy width; it is converted to a boxcar over
-    grid samples (None or 0 disables smoothing).
+    grid samples (None or 0 disables smoothing) and may not exceed the span
+    of a grid of more than one energy.
     """
     energies = np.asarray(energies, dtype=float)
+    if smoothing_window and energies.size > 1 and smoothing_window > energies[-1] - energies[0]:
+        raise ValueError(
+            f"smoothing_window {smoothing_window!r} is wider than the grid's span "
+            f"{energies[-1] - energies[0]!r}"
+        )
     forward = np.empty_like(energies)
     backward = np.empty_like(energies)
     defect = np.empty_like(energies)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from atomchain.ensemble import _ConfigRunner, realization_seed
 from atomchain.hamiltonian import disorder_sample
 from atomchain.spectrum import transparency_window
 
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "n_atoms": 12,
@@ -118,6 +121,8 @@ def test_transmit_reciprocal_checks(tmp_path):
     assert all(c["passed"] for c in manifest["self_checks"])
     assert manifest["extras"]["reciprocity_defect"] < 1e-12
     assert 0.0 <= manifest["extras"]["worst_resolvent_residual"] < 1e-6
+    unitarity = {c["name"]: c for c in manifest["self_checks"]}["unitarity"]
+    assert manifest["extras"]["worst_unitarity"]["defect"] == unitarity["value"]
     # the manifest names the decay channels that carried the scan
     rates = np.linalg.eigvalsh(build_couplings(read_config(cfg)[0]).decay)
     floor = manifest["extras"]["decay_rate_floor"]
@@ -126,6 +131,26 @@ def test_transmit_reciprocal_checks(tmp_path):
     body = (out / "transmit.csv").read_text().splitlines()
     assert body[0].startswith("energy,t_forward,t_backward")
     assert len(body) == 41
+
+
+def test_unitarity_failure_names_the_nearest_pole(tmp_path):
+    # the real part of the reciprocal chain's narrowest resonance, -0.57626 - 1.32e-7 i:
+    # the defect there (1.406e-8) sits in the double-precision data, over the 1e-8 limit
+    energy = "-0.5762645585049386"
+    out = tmp_path / "out"
+    rc = main(["transmit", "--config", str(CONFIGS / "reciprocal.cfg"), "--out", str(out),
+               "--n-e", "1", "--e-min", energy, "--e-max", energy])
+    assert rc == 3
+    manifest = read_manifest(out)
+    unitarity = {c["name"]: c for c in manifest["self_checks"]}["unitarity"]
+    assert not unitarity["passed"] and unitarity["limit"] == 1e-8
+    worst = manifest["extras"]["worst_unitarity"]
+    assert worst["energy"] == float(energy)
+    assert worst["defect"] == unitarity["value"]
+    pole_re, pole_im = worst["nearest_eigenvalue"]
+    assert pole_re == pytest.approx(-0.57626, abs=1e-5)
+    assert pole_im == pytest.approx(-1.32e-7, rel=1e-2)
+    assert worst["offset_in_widths"] == abs(float(energy) - pole_re) / abs(pole_im) < 1.0
 
 
 def test_evolve_outputs_and_checks(tmp_path):
@@ -176,6 +201,55 @@ def test_evolve_mirror_ratio_flip(tmp_path, mixing_angle, fraction, expect):
         assert "mirror_symmetry" not in checks
 
 
+@pytest.mark.parametrize("n_atoms, propagator", [(24, "spectral"), (40, "taylor")])
+def test_evolve_names_its_propagator(tmp_path, n_atoms, propagator):
+    # 4 steps(0.9) = 4 Taylor steps in all: over N^2 / 200 = 2.88 at N = 24, within 8 at N = 40
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=n_atoms, mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(["evolve", "--config", cfg, "--out", str(out), "--times", "0.4,0.9",
+               "--n-angles", "12"])
+    assert rc == 0
+    extras = read_manifest(out)["extras"]
+    assert extras["taylor_steps"] == 4
+    assert extras["propagator"] == propagator
+
+
+# leading key columns of each evolve table; the rest hold values
+EVOLVE_KEYS = {"populations": 2, "momentum": 2, "norms": 1, "intensity": 2}
+
+
+def evolve_tables(tmp_path, monkeypatch, cfg, taylor):
+    """Tables of one evolve run with the propagator rule forced to one branch."""
+    monkeypatch.setattr(cli, "taylor_pays", lambda steps, n_atoms: taylor)
+    out = tmp_path / ("taylor" if taylor else "spectral")
+    rc = main(["evolve", "--config", str(cfg), "--out", str(out),
+               "--times", "0.5,3.0,6.5,13.0,26.0"])
+    assert rc == 0
+    manifest = read_manifest(out)
+    assert manifest["extras"]["propagator"] == out.name
+    assert all(c["passed"] for c in manifest["self_checks"])
+    return {name: np.loadtxt(out / name, delimiter=",", skiprows=1) for name in manifest["outputs"]}
+
+
+@pytest.mark.parametrize("chain", ["dir24", "rec24", "directional", "reciprocal"])
+def test_chained_taylor_evolve_matches_the_propagator_path(tmp_path, monkeypatch, chain):
+    if chain in ("dir24", "rec24"):
+        angle = np.pi / 4 if chain == "dir24" else 0.0
+        cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=angle)
+    else:
+        cfg = CONFIGS / f"{chain}.cfg"
+    taylor = evolve_tables(tmp_path, monkeypatch, cfg, True)
+    spectral = evolve_tables(tmp_path, monkeypatch, cfg, False)
+    assert taylor.keys() == spectral.keys()
+    for name, want in spectral.items():
+        keys = EVOLVE_KEYS[name.split("_")[0].removesuffix(".csv")]
+        got = taylor[name]
+        assert np.array_equal(got[:, :keys], want[:, :keys]), name
+        # measured 2.3e-13 of the table's largest value on the shipped chains
+        scale = np.abs(want[:, keys:]).max()
+        assert np.abs(got[:, keys:] - want[:, keys:]).max() <= 1e-10 * scale, name
+
+
 def read_strict_manifest(outdir):
     """The manifest parsed as strict JSON, which has no NaN or Infinity."""
 
@@ -200,6 +274,8 @@ def test_decayed_state_keeps_its_emission_ratio(tmp_path, time):
     rc_ref, reference = decayed_flip(tmp_path, np.pi / 4, "300000")
     rc, manifest = decayed_flip(tmp_path, np.pi / 4, time)
     assert rc == rc_ref == 0
+    # millions of Taylor steps against N^2 / 200 = 2.88: the spectral Propagator runs
+    assert manifest["extras"]["propagator"] == reference["extras"]["propagator"] == "spectral"
     flip = manifest["extras"]["mirror_ratio_flip"]
     assert flip == pytest.approx(reference["extras"]["mirror_ratio_flip"], rel=1e-12)
 

@@ -24,6 +24,7 @@ from atomchain.dynamics import (
     TaylorPropagator,
     far_field_intensity,
     far_field_ring,
+    far_field_rows,
     launch_site,
     mirror_ratio_flip,
     mirror_state,
@@ -235,6 +236,8 @@ def test_far_field_rejects_near_zone_and_bad_shape(dir24):
         far_field_intensity(state, np.array([[0.0, 0.0, 0.5]]), dir24)
     with pytest.raises(ValueError):
         far_field_intensity(state, np.zeros((4, 2)), dir24)
+    with pytest.raises(ValueError, match="chain"):
+        far_field_rows(np.array([[0.0, 0.0, 0.5]]), dir24)
 
 
 def test_far_field_ring_geometry(dir24):
@@ -432,3 +435,41 @@ def test_far_field_and_momentum_match_references(n_atoms, mixing_angle):
     reference_ipr = np.sum(p_minus**2) / np.sum(p_minus) ** 2
     assert mom.ipr_minus == pytest.approx(reference_ipr, rel=1e-13)
 
+
+
+def per_call_far_field(state, points, vc):
+    """Field at each node as far_field_intensity formed it per call before far_field_rows.
+
+    One dipole per site, D_n = c_n+ d_+ + c_n- d_-, one envelope per (node,
+    site), then one transverse projection.
+    """
+    atom_xyz = np.zeros((vc.n_atoms, 3))
+    atom_xyz[:, 2] = positions(vc)
+    sep = points[:, None, :] - atom_xyz[None, :, :]
+    dist = np.linalg.norm(sep, axis=2)
+    rhat = sep / dist[..., None]
+    node_r = np.linalg.norm(points, axis=1)
+    dipoles = state.amps.reshape(-1, 2) @ DIPOLES
+    envelope = np.exp(1.0j * K0 * dist) * (node_r[:, None] / dist)
+    proj = np.einsum("mnc,nc->mn", rhat, dipoles)
+    return envelope @ dipoles - np.einsum("mn,mnc->mc", envelope * proj, rhat)
+
+
+@pytest.mark.parametrize("mixing_angle", [0.0, np.pi / 4])
+@pytest.mark.parametrize("n_atoms", [24, 205])
+def test_far_field_rows_match_the_per_call_formula(n_atoms, mixing_angle):
+    vc, _, blocks = _chain(n_atoms, mixing_angle)
+    state0 = spin_wave(vc)
+    states = [replace(state0, amps=blocks.apply(state0.amps, t), time=t) for t in (0.0, 2.0, 6.5)]
+    length = (vc.n_atoms - 1) * vc.lattice_const
+    edge_probes = np.array([[0.0, 0.0, -20.0], [0.0, 0.0, length + 20.0]])
+    for points in (far_field_ring(vc), edge_probes):
+        rows = far_field_rows(points, vc)
+        assert rows.shape == (points.shape[0], 3, 2 * vc.n_atoms)
+        # every state's field from the one row matrix, as evolve forms its snapshots
+        fields = rows @ np.stack([s.amps for s in states], axis=1)
+        for i, state in enumerate(states):
+            want = per_call_far_field(state, points, vc)
+            assert _max_relative(fields[..., i], want) <= 1e-13
+            intensity = far_field_intensity(state, points, vc)
+            assert _max_relative(intensity, np.sum(np.abs(want) ** 2, axis=1)) <= 1e-13

@@ -8,7 +8,7 @@ import pytest
 
 from atomchain import ensemble
 from atomchain.chain_model import ChainConfig, read_config
-from atomchain.dynamics import spin_wave
+from atomchain.dynamics import spin_wave, taylor_pays
 from atomchain.ensemble import (
     EnsembleSpec,
     _cell_scalars,
@@ -321,3 +321,21 @@ def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
         other = _cell_scalars(runner.vc, replace(state0, amps=amps, time=t))
         for name, value in got.items():
             assert value == pytest.approx(other[name], rel=1e-12), (t, name)
+
+
+@pytest.mark.parametrize("n_atoms", [16, 205])
+def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
+    vc = ChainConfig(n_atoms=n_atoms, lattice_const=0.125, mixing_angle=np.pi / 4)
+    spectral = []
+    propagator = ensemble.Propagator
+    monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
+    blocks = _ConfigRunner(small_spec(base_config=vc)).blocks
+    step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
+    last = n_atoms**2 // 200
+    for steps in (last, last + 1):
+        t = (steps - 0.5) * step
+        assert blocks.steps(t) == steps
+        spectral.clear()
+        _ConfigRunner(small_spec(base_config=vc, observation_time=t)).run_cell(None)
+        # run_cell's inline rule before taylor_pays: spectral when s * 200 > N^2
+        assert bool(spectral) == (steps * 200 > n_atoms**2) == (not taylor_pays(steps, n_atoms))

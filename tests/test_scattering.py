@@ -222,6 +222,18 @@ def test_spectrum_scan_output(dir24, dir24_couplings):
     assert scan.forward_smoothed.mean() == pytest.approx(scan.forward.mean(), rel=0.05)
 
 
+def test_spectrum_scan_rejects_a_window_wider_than_its_grid(dir24, dir24_couplings):
+    h = assemble(dir24, dir24_couplings).matrix
+    scattering = SchurScattering(h, decay_modes(dir24_couplings))
+    # the default 0.05 window over a 1e-12-wide grid would pad the boxcar by ~1e11 samples
+    with pytest.raises(ValueError, match="smoothing_window"):
+        spectrum_scan(scattering, np.linspace(0.0, 1e-12, 3), 0, 5)
+    # a single energy has no span, and a window as wide as the span is allowed
+    assert spectrum_scan(scattering, np.array([0.5]), 0, 5).forward.shape == (1,)
+    scan = spectrum_scan(scattering, np.linspace(0.0, 0.05, 3), 0, 5, smoothing_window=0.05)
+    assert scan.forward_smoothed.shape == (3,)
+
+
 def test_boxcar_matches_scipy_uniform_filter_bit_for_bit():
     rng = np.random.default_rng(2024)
     for _ in range(2000):
