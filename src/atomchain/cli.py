@@ -53,12 +53,7 @@ from .dynamics import (
     spin_wave,
     taylor_pays,
 )
-from .ensemble import (
-    SCALAR_OBSERVABLES,
-    EnsembleSpec,
-    compare_configs,
-    run_ensemble,
-)
+from .ensemble import SCALAR_OBSERVABLES, EnsembleSpec, paired_difference, run_ensemble
 from .hamiltonian import assemble
 from .scattering import (
     SchurScattering,
@@ -267,9 +262,9 @@ def cmd_evolve(args, vc, seed):
     couplings = build_couplings(vc)
     h = assemble(vc, couplings)
     taylor = TaylorPropagator.from_hamiltonian(h)
-    # the snapshot chain, the composition check and the two launches of
-    # mirror_ratio_flip each run to times[-1]
-    taylor_steps = 4 * taylor.steps(times[-1])
+    # the snapshot chain, the composition check and the site-reversed launch
+    # of mirror_ratio_flip each run to times[-1]
+    taylor_steps = 3 * taylor.steps(times[-1])
     propagator = taylor if taylor_pays(taylor_steps, vc.n_atoms) else Propagator(h)
     ring = far_field_ring(vc, n_angles=args.n_angles)
 
@@ -326,7 +321,7 @@ def cmd_evolve(args, vc, seed):
     # emission-side directionality at the last snapshot; a zero state has no ratio
     flip = None
     if np.any(probe.amps):
-        flip = mirror_ratio_flip(state0, propagator, vc, times[-1])
+        flip = mirror_ratio_flip(state0, probe, propagator, vc)
         if vc.reciprocal:
             checks.append(CheckResult("mirror_symmetry", flip < 1e-9, flip, 1e-9))
 
@@ -350,22 +345,17 @@ def cmd_disorder(args, vc, seed):
     _require_at_least(args.realizations, 1, "--realizations")
     _require_at_least(args.time, 0.0, "--time")
     _require_at_least(args.threads, 1, "--threads")
+    # keyed by the suffix of each result's table stems and manifest keys
+    configs = {"": vc} if args.single else {"_base": vc, "_twin": replace(vc, mixing_angle=0.0)}
     spec = EnsembleSpec(
-        base_config=vc,
+        configs=tuple(configs.values()),
         w_values=w_values,
         n_realizations=args.realizations,
         master_seed=seed,
         observation_time=args.time,
         max_workers=args.threads,
     )
-    # keyed by the suffix of each result's table stems and manifest keys
-    if args.single:
-        configs = {"": vc}
-        results = {"": run_ensemble(spec)}
-    else:
-        configs = {"_base": vc, "_twin": replace(vc, mixing_angle=0.0)}
-        comparison = compare_configs(spec, configs["_twin"])
-        results = {"_base": comparison.result_a, "_twin": comparison.result_b}
+    results = dict(zip(configs, run_ensemble(spec)))
 
     tables, agg_rows = {}, []
     for suffix, result in results.items():
@@ -382,19 +372,10 @@ def cmd_disorder(args, vc, seed):
                 mean, sem, n = result.aggregates[obs][wi]
                 agg_rows.append((suffix[1:] or "base", obs, s, mean, sem, int(n)))
     if not args.single:
+        diff = paired_difference(results["_base"], results["_twin"])
         tables["paired_diff"] = (
             ["observable", "sqrt_w", "diff_mean", "diff_sem", "z"],
-            [
-                (
-                    obs,
-                    s,
-                    comparison.diff_mean[obs][wi],
-                    comparison.diff_sem[obs][wi],
-                    comparison.z_score[obs][wi],
-                )
-                for obs in SCALAR_OBSERVABLES
-                for wi, s in enumerate(sqrt_w)
-            ],
+            [(obs, s, *diff[obs][wi]) for obs in SCALAR_OBSERVABLES for wi, s in enumerate(sqrt_w)],
         )
     tables["aggregate"] = (["config", "observable", "sqrt_w", "mean", "sem", "n"], agg_rows)
 

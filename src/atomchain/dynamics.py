@@ -397,31 +397,35 @@ def far_field_ring(vc: ChainConfig, n_angles: int = 360) -> np.ndarray:
 
 
 def mirror_ratio_flip(
-    state: ExcitationState, propagator: Propagator | TaylorPropagator, vc: ChainConfig, t: float
+    initial: ExcitationState,
+    evolved: ExcitationState,
+    propagator: Propagator | TaylorPropagator,
+    vc: ChainConfig,
 ) -> float:
     """|log10| of the right/left emission ratio product under site reversal.
 
-    Evolve the state and its site-reversed twin for the same duration and
-    read the physical intensity at two on-axis probes, _STANDOFF beyond
-    either chain end (mirror symmetric about the chain).  When the
-    dynamics commutes with site reversal the two ratios are exact
-    reciprocals and the product is 1 (return value 0 up to rounding); a
-    directional chain transports the two launches toward the same side and
-    the product departs from 1.  Physical intensities (including the 1/R^2
-    falloff) make the probe pair comparable, so the per-point peak
-    normalization of far_field_intensity is divided back out.  Each ratio
-    is read off _unit_scaled amplitudes, so no decay underflows it.
+    evolved is initial propagated to evolved.time; the site-reversed twin of
+    initial is evolved here for the same duration.  Both are read at two
+    on-axis probes, _STANDOFF beyond either chain end (mirror symmetric
+    about the chain).  When the dynamics commutes with site reversal the
+    two ratios are exact reciprocals and the product is 1 (return value 0
+    up to rounding); a directional chain transports the two launches toward
+    the same side and the product departs from 1.  Physical intensities
+    (including the 1/R^2 falloff) make the probe pair comparable, so the
+    per-point peak normalization of far_field_intensity is divided back
+    out.  Each ratio is read off _unit_scaled amplitudes, so no decay
+    underflows it.
     """
     z = np.array([-_STANDOFF, (vc.n_atoms - 1) * vc.lattice_const + _STANDOFF])
     probes = np.zeros((2, 3))
     probes[:, 2] = z
     geometry = z**2
 
-    def right_left_ratio(initial: ExcitationState) -> float:
-        evolved = propagate_to(initial, propagator, t)
-        scaled = replace(evolved, amps=_unit_scaled(evolved.amps))
+    def right_left_ratio(state: ExcitationState) -> float:
+        scaled = replace(state, amps=_unit_scaled(state.amps))
         intensity = far_field_intensity(scaled, probes, vc) / geometry
         return float(intensity[1] / intensity[0])
 
-    product = right_left_ratio(state) * right_left_ratio(mirror_state(state))
+    twin = propagate_to(mirror_state(initial), propagator, evolved.time)
+    product = right_left_ratio(evolved) * right_left_ratio(twin)
     return float(abs(np.log10(product)))

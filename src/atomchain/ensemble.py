@@ -1,14 +1,18 @@
 """Seeded, reproducible disorder ensembles and paired-configuration studies.
 
+A spec holds one or more chain configurations of one geometry (a driven
+chain and its zero-angle twin, say) and one sweep of disorder variances.
 Each (w_index, realization_index) cell derives its random stream as
-SeedSequence(master_seed, spawn_key=(w_index, realization_index)), so any
-single cell can be recomputed bit-exactly in isolation and results cannot
-depend on execution order or worker count.  With max_workers > 1 the cells
-run in a pool of worker processes started by fork (POSIX only), at most one
-per CPU the process may run on.  The workers inherit the configuration's
-shared pieces, so only a cell's indices and its five scalars cross the
-pipe; one worker runs them in a plain loop, with no pool.  Aggregation
-reads the preallocated result arrays in fixed index order.
+SeedSequence(master_seed, spawn_key=(w_index, realization_index)), the same
+for every configuration, so the configurations see identical draws, any
+single cell can be recomputed bit-exactly in isolation, and results cannot
+depend on execution order or worker count.  The cells of all configurations
+form one list and, with max_workers > 1, run in one pool of worker
+processes started by fork (POSIX only), at most one per CPU the process may
+run on.  The workers inherit every configuration's shared pieces, so only
+a cell's indices and its five scalars cross the pipe; one worker runs them
+in a plain loop, with no pool.  Aggregation reads the preallocated result
+arrays in fixed index order.
 
 Observables per realization, evaluated on the state at observation_time:
 
@@ -22,22 +26,23 @@ Observables per realization, evaluated on the state at observation_time:
 
 Every cell starts from the same spin wave, launched at the default site of
 dynamics.spin_wave.  A cell propagates it with dynamics.TaylorPropagator,
-built once per configuration from the disorder-free H, with the cell's
-on-site energies added in O(N); no cell factorizes H.  Cells whose Taylor
-series would need more than N^2 / 200 steps (long observation times; the
-rule is dynamics.taylor_pays) fall back to the spectral
+built once per configuration from the disorder-free H (the couplings, which
+depend on the geometry alone, are built once for all configurations), with
+the cell's on-site energies added in O(N); no cell factorizes H.  Cells
+whose Taylor series would need more than N^2 / 200 steps (long observation
+times; the rule is dynamics.taylor_pays) fall back to the spectral
 dynamics.Propagator of the assembled H, whose cost does not grow with t.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain_model import ChainConfig, validate
-from .collective_couplings import build_couplings
+from .collective_couplings import CouplingMatrices, build_couplings
 from .dynamics import (
     Propagator,
     TaylorPropagator,
@@ -61,7 +66,7 @@ _FAILURE_FRACTION_LIMIT = 0.05
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    base_config: ChainConfig
+    configs: tuple[ChainConfig, ...]
     w_values: tuple[float, ...]
     n_realizations: int = 50
     master_seed: int = 0
@@ -69,6 +74,9 @@ class EnsembleSpec:
     max_workers: int = 1
 
     def __post_init__(self):
+        geometries = [(c.n_atoms, c.lattice_const) for c in self.configs]
+        if len(set(geometries)) != 1:
+            raise ValueError(f"configs must share one (n_atoms, lattice_const), got {geometries}")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.max_workers < 1:
@@ -89,7 +97,7 @@ def realization_seed(master_seed: int, w_index: int, realization_index: int) -> 
 class EnsembleResult:
     scalars: dict[str, np.ndarray]          # (n_w, n_realizations)
     aggregates: dict[str, np.ndarray]       # (n_w, 3): mean, sem, n
-    failures: list[tuple[int, int, str]] = field(default_factory=list)
+    failures: list[tuple[int, int, str]]    # (w_index, realization, error)
 
 
 def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
@@ -105,11 +113,11 @@ def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
 
 
 class _ConfigRunner:
-    """Shared immutable pieces for the spec's chain configuration."""
+    """Shared immutable pieces for one of the spec's chain configurations."""
 
-    def __init__(self, spec: EnsembleSpec):
-        self.vc = validate(spec.base_config)
-        self.couplings = build_couplings(self.vc)
+    def __init__(self, spec: EnsembleSpec, vc: ChainConfig, couplings: CouplingMatrices):
+        self.vc = vc
+        self.couplings = couplings
         self.blocks = TaylorPropagator.from_hamiltonian(assemble(self.vc, self.couplings))
         self.state0 = spin_wave(self.vc)
         self.spec = spec
@@ -144,23 +152,24 @@ def _aggregate(values: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-# The _ConfigRunner of a forked pool worker, set by _init_worker as it starts.
-_worker_runner: _ConfigRunner | None = None
+# The _ConfigRunners of a forked pool worker, set by _init_worker as it starts.
+_worker_runners: list[_ConfigRunner] | None = None
 
 
-def _init_worker(runner: _ConfigRunner) -> None:
-    global _worker_runner
-    _worker_runner = runner
+def _init_worker(runners: list[_ConfigRunner]) -> None:
+    global _worker_runners
+    _worker_runners = runners
 
 
-def _run_cell(cell, runner: _ConfigRunner | None = None):
-    """(cell, scalars, None) or (cell, None, error) for one (w_index, slots) cell.
+def _run_cell(cell, runners: list[_ConfigRunner] | None = None):
+    """(cell, scalars, None) or (cell, None, error) for one (config, w_index, slots) cell.
 
-    Pool workers pass no runner and use the one they inherited at fork.
+    Pool workers pass no runners and use the ones they inherited at fork.
     """
-    runner = _worker_runner if runner is None else runner
+    runners = _worker_runners if runners is None else runners
+    ci, wi, slots = cell
+    runner = runners[ci]
     spec = runner.spec
-    wi, slots = cell
     w = spec.w_values[wi]
     try:
         disorder = None
@@ -179,122 +188,113 @@ def _run_cell(cell, runner: _ConfigRunner | None = None):
     return cell, payload, None
 
 
-def _run_in_processes(runner: _ConfigRunner, cells: list, workers: int) -> list:
+def _run_in_processes(runners: list[_ConfigRunner], cells: list, workers: int) -> list:
     """Every cell's _run_cell outcome, in cell order, from `workers` forked processes."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     # fork, not spawn: a spawned worker would import numpy and atomchain afresh
-    # (about 0.26 s, against about 17 ms per cell) and need the runner pickled.
+    # (about 0.26 s, against about 17 ms per cell) and need the runners pickled.
     # The executor forks every worker before it starts its own threads.
     outcomes = []
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(runner,),
+        initargs=(runners,),
     ) as pool:
         try:
             # a cell takes milliseconds, so one cell per pipe message costs nothing
             for outcome in pool.map(_run_cell, cells, chunksize=1):
                 outcomes.append(outcome)
         except BrokenProcessPool as exc:
-            lost = [(wi, ri) for wi, slots in cells[len(outcomes):] for ri in slots]
+            lost: dict[int, list[tuple[int, int]]] = {}
+            for ci, wi, slots in cells[len(outcomes):]:
+                lost.setdefault(ci, []).extend((wi, ri) for ri in slots)
             raise RuntimeError(
-                f"an ensemble worker process died; {len(lost)} realizations "
-                f"(w_index, realization) never returned: {lost}"
+                f"an ensemble worker process died; {sum(map(len, lost.values()))} "
+                f"realizations never returned, as (w_index, realization) by config "
+                f"index: {lost}"
             ) from exc
     return outcomes
 
 
-def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
-    """Sweep disorder variances with n_realizations seeded draws of spec.base_config.
+def run_ensemble(spec: EnsembleSpec) -> list[EnsembleResult]:
+    """One EnsembleResult per spec.configs entry, over n_realizations seeded draws per W.
 
-    Each W = 0 entry is one cell that fills every realization slot (zero
-    disorder is seed independent); each W > 0 entry is one cell per draw.
-    A cell fails when it raises or when any of its scalars is non-finite;
-    failures are recorded for every slot they cover and skipped, and more
-    than 5 percent failing aborts the run.  Up to spec.max_workers forked
-    processes run the cells, never more than there are cells or CPUs this
+    Each W = 0 entry is one cell per config that fills every realization
+    slot (zero disorder is seed independent); each W > 0 entry is one cell
+    per config and draw.  A cell fails when it raises or when any of its
+    scalars is non-finite; failures are recorded for every slot they cover
+    and skipped, and more than 5 percent of one config's realizations
+    failing aborts the run.  Up to spec.max_workers forked processes run
+    the cells of every config, never more than there are cells or CPUs this
     process may run on; a worker process that dies aborts the run with a
-    RuntimeError naming the realizations that never returned.
+    RuntimeError naming the realizations of each config that never returned.
     """
-    runner = _ConfigRunner(spec)
+    configs = [validate(config) for config in spec.configs]
+    # the couplings depend on the geometry alone, which the configs share
+    couplings = build_couplings(configs[0])
+    runners = [_ConfigRunner(spec, vc, couplings) for vc in configs]
     n_w, n_r = len(spec.w_values), spec.n_realizations
-    scalars = {name: np.full((n_w, n_r), np.nan) for name in SCALAR_OBSERVABLES}
-    failures: list[tuple[int, int, str]] = []
+    scalars = [
+        {name: np.full((n_w, n_r), np.nan) for name in SCALAR_OBSERVABLES} for _ in runners
+    ]
+    failures: list[list[tuple[int, int, str]]] = [[] for _ in runners]
 
-    # a cell is (w_index, the realization slots it fills)
-    cells = []
+    # a cell is (config index, w_index, the realization slots it fills), config-major
+    w_cells = []
     for wi, w in enumerate(spec.w_values):
         if w == 0.0:
-            cells.append((wi, range(n_r)))
+            w_cells.append((wi, range(n_r)))
         else:
-            cells.extend((wi, range(ri, ri + 1)) for ri in range(n_r))
+            w_cells.extend((wi, range(ri, ri + 1)) for ri in range(n_r))
+    cells = [(ci, wi, slots) for ci in range(len(runners)) for wi, slots in w_cells]
 
     workers = min(spec.max_workers, len(cells), len(os.sched_getaffinity(0)))
     if workers <= 1:
-        outcomes = [_run_cell(cell, runner) for cell in cells]
+        outcomes = [_run_cell(cell, runners) for cell in cells]
     else:
-        outcomes = _run_in_processes(runner, cells, workers)
+        outcomes = _run_in_processes(runners, cells, workers)
 
-    for (wi, slots), payload, err in outcomes:
+    for (ci, wi, slots), payload, err in outcomes:
         if err is not None:
-            failures.extend((wi, ri, err) for ri in slots)
+            failures[ci].extend((wi, ri, err) for ri in slots)
             continue
         for name, val in payload.items():
-            scalars[name][wi, slots] = val
+            scalars[ci][name][wi, slots] = val
 
     total_cells = n_w * n_r
-    if len(failures) > _FAILURE_FRACTION_LIMIT * total_cells:
-        raise RuntimeError(
-            f"{len(failures)} of {total_cells} realizations failed; first: {failures[0]}"
+    for ci, failed in enumerate(failures):
+        if len(failed) > _FAILURE_FRACTION_LIMIT * total_cells:
+            raise RuntimeError(
+                f"{len(failed)} of {total_cells} realizations failed in config {ci}; "
+                f"first: {failed[0]}"
+            )
+
+    return [
+        EnsembleResult(
+            scalars=values,
+            aggregates={name: _aggregate(vals) for name, vals in values.items()},
+            failures=failed,
         )
-
-    aggregates = {name: _aggregate(vals) for name, vals in scalars.items()}
-    return EnsembleResult(scalars=scalars, aggregates=aggregates, failures=failures)
-
-
-@dataclass
-class PairedComparison:
-    """Per-W paired statistics of spec.base_config minus its twin, identical disorder."""
-
-    result_a: EnsembleResult
-    result_b: EnsembleResult
-    diff_mean: dict[str, np.ndarray]
-    diff_sem: dict[str, np.ndarray]
-    z_score: dict[str, np.ndarray]
+        for values, failed in zip(scalars, failures)
+    ]
 
 
-def compare_configs(spec: EnsembleSpec, twin: ChainConfig) -> PairedComparison:
-    """Run spec.base_config and twin on identical disorder draws and difference them.
+def paired_difference(a: EnsembleResult, b: EnsembleResult) -> dict[str, np.ndarray]:
+    """(n_w, 3) rows of mean, standard error and z score of a minus b, per observable.
 
-    The twin must share the base geometry (n_atoms and lattice_const); drive
-    parameters may differ.  The paired design removes the draw-to-draw
-    variance, so orderings resolve at far fewer realizations.
+    a and b come from one run_ensemble call, so their cells saw identical
+    draws; the paired design removes the draw-to-draw variance, so
+    orderings resolve at far fewer realizations.  A cell that failed in
+    either result is NaN in the difference and drops out.
     """
-    base = spec.base_config
-    if base.n_atoms != twin.n_atoms:
-        raise ValueError(
-            f"paired configs need equal n_atoms, got {base.n_atoms} and {twin.n_atoms}"
-        )
-    if base.lattice_const != twin.lattice_const:
-        raise ValueError("paired configs need identical lattice_const")
-    result_a = run_ensemble(spec)
-    result_b = run_ensemble(replace(spec, base_config=twin))
-    diff_mean, diff_sem, z_score = {}, {}, {}
+    rows = {}
     for name in SCALAR_OBSERVABLES:
-        # a cell that failed in either config is NaN here and drops out
-        mean, sem, _ = _aggregate(result_a.scalars[name] - result_b.scalars[name]).T
-        diff_mean[name] = mean
-        diff_sem[name] = sem
+        mean, sem, _ = _aggregate(a.scalars[name] - b.scalars[name]).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            z_score[name] = np.where(sem > 0, mean / sem, np.where(mean == 0, 0.0, np.nan))
-    return PairedComparison(
-        result_a=result_a,
-        result_b=result_b,
-        diff_mean=diff_mean,
-        diff_sem=diff_sem,
-        z_score=z_score,
-    )
+            z_score = np.where(sem > 0, mean / sem, np.where(mean == 0, 0.0, np.nan))
+        rows[name] = np.column_stack((mean, sem, z_score))
+    return rows

@@ -27,7 +27,7 @@ from atomchain.dynamics import (
     propagate_to,
     spin_wave,
 )
-from atomchain.ensemble import EnsembleSpec, compare_configs
+from atomchain.ensemble import EnsembleSpec, run_ensemble
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
     SchurScattering,
@@ -275,7 +275,8 @@ def test_mirror_ratio_flip_dichotomy(chains):
         vc = chains[tag]["vc"]
         propagator = Propagator(chains[tag]["h"])
         state = spin_wave(vc, n0=100, width_sq=60.0)
-        values[tag] = mirror_ratio_flip(state, propagator, vc, t=13.0)
+        evolved = propagate_to(state, propagator, 13.0)
+        values[tag] = mirror_ratio_flip(state, evolved, propagator, vc)
     passed = values["rec"] < 1e-9 and values["dir"] > 0.3
     report(
         "mirror ratio flip",
@@ -288,24 +289,24 @@ def test_mirror_ratio_flip_dichotomy(chains):
 def test_disorder_localization_ordering():
     base = ChainConfig(n_atoms=N_FULL, lattice_const=LATTICE, mixing_angle=np.pi / 4)
     spec = EnsembleSpec(
-        base_config=base,
+        configs=(base, replace(base, mixing_angle=0.0)),
         w_values=(0.0, 0.625**2, 1.0),
         n_realizations=50,
         master_seed=20260815,
         observation_time=13.0,
         max_workers=4,
     )
-    comparison = compare_configs(spec, replace(base, mixing_angle=0.0))
-    ipr_a = comparison.result_a.scalars["realspace_ipr"]
-    ipr_b = comparison.result_b.scalars["realspace_ipr"]
+    result_a, result_b = run_ensemble(spec)
+    ipr_a = result_a.scalars["realspace_ipr"]
+    ipr_b = result_b.scalars["realspace_ipr"]
     n = spec.n_realizations
     z_scores = []
     for wi in (1, 2):
         diff = (ipr_a[wi] - ipr_a[0]) - (ipr_b[wi] - ipr_b[0])
         sem = diff.std(ddof=1) / np.sqrt(n)
         z_scores.append(float(diff.mean() / sem))
-    surv_a = float(comparison.result_a.scalars["survival"][2].mean())
-    surv_b = float(comparison.result_b.scalars["survival"][2].mean())
+    surv_a = float(result_a.scalars["survival"][2].mean())
+    surv_b = float(result_b.scalars["survival"][2].mean())
     passed = all(z < -2.0 for z in z_scores) and surv_a <= surv_b
     report(
         "disorder localization ordering",

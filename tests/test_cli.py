@@ -203,14 +203,14 @@ def test_evolve_mirror_ratio_flip(tmp_path, mixing_angle, fraction, expect):
 
 @pytest.mark.parametrize("n_atoms, propagator", [(24, "spectral"), (40, "taylor")])
 def test_evolve_names_its_propagator(tmp_path, n_atoms, propagator):
-    # 4 steps(0.9) = 4 Taylor steps in all: over N^2 / 200 = 2.88 at N = 24, within 8 at N = 40
+    # 3 steps(0.9) = 3 Taylor steps in all: over N^2 / 200 = 2.88 at N = 24, within 8 at N = 40
     cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=n_atoms, mixing_angle=np.pi / 4)
     out = tmp_path / "out"
     rc = main(["evolve", "--config", cfg, "--out", str(out), "--times", "0.4,0.9",
                "--n-angles", "12"])
     assert rc == 0
     extras = read_manifest(out)["extras"]
-    assert extras["taylor_steps"] == 4
+    assert extras["taylor_steps"] == 3
     assert extras["propagator"] == propagator
 
 
@@ -604,7 +604,7 @@ def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, fl
         raise AssertionError("set-up ran before the flag was checked")
 
     for name in ("build_couplings", "bloch_bands", "guided_group_velocity", "Propagator",
-                 "run_ensemble", "compare_configs"):
+                 "run_ensemble"):
         monkeypatch.setattr(cli, name, setup_reached)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags])
     assert rc == 2

@@ -212,8 +212,10 @@ def test_mirror_covariance_dichotomy(rec24, dir24, rec24_prop, dir24_prop):
 def test_mirror_ratio_flip_dichotomy(rec24, dir24, rec24_prop, dir24_prop):
     rec_state = spin_wave(rec24, n0=12, width_sq=6.0)
     dir_state = spin_wave(dir24, n0=12, width_sq=6.0)
-    assert mirror_ratio_flip(rec_state, rec24_prop, rec24, 3.0) < 1e-9
-    assert mirror_ratio_flip(dir_state, dir24_prop, dir24, 3.0) > 0.05
+    rec_evolved = propagate_to(rec_state, rec24_prop, 3.0)
+    dir_evolved = propagate_to(dir_state, dir24_prop, 3.0)
+    assert mirror_ratio_flip(rec_state, rec_evolved, rec24_prop, rec24) < 1e-9
+    assert mirror_ratio_flip(dir_state, dir_evolved, dir24_prop, dir24) > 0.05
 
 
 def test_far_field_single_atom_pattern_and_peak_normalization():
@@ -260,7 +262,8 @@ def test_edge_probes_positions(dir24, dir24_prop, monkeypatch):
         return far_field_intensity(state, points, vc)
 
     monkeypatch.setattr(dynamics, "far_field_intensity", recording)
-    mirror_ratio_flip(spin_wave(dir24), dir24_prop, dir24, 2.0)
+    state = spin_wave(dir24)
+    mirror_ratio_flip(state, propagate_to(state, dir24_prop, 2.0), dir24_prop, dir24)
     length = (dir24.n_atoms - 1) * dir24.lattice_const
     assert len(seen) == 2
     for probes in seen:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from atomchain import ensemble
-from atomchain.chain_model import ChainConfig, read_config
+from atomchain.chain_model import ChainConfig, read_config, validate
+from atomchain.collective_couplings import build_couplings
 from atomchain.dynamics import spin_wave, taylor_pays
 from atomchain.ensemble import (
     EnsembleSpec,
     _cell_scalars,
     _ConfigRunner,
-    compare_configs,
+    paired_difference,
     realization_seed,
     run_ensemble,
 )
@@ -24,7 +26,7 @@ SMALL = ChainConfig(n_atoms=16, lattice_const=0.125, mixing_angle=np.pi / 4)
 
 def small_spec(**overrides):
     kwargs = dict(
-        base_config=SMALL,
+        configs=(SMALL,),
         w_values=(0.0, 0.5),
         n_realizations=6,
         master_seed=101,
@@ -32,6 +34,12 @@ def small_spec(**overrides):
     )
     kwargs.update(overrides)
     return EnsembleSpec(**kwargs)
+
+
+def config_runner(spec):
+    """The _ConfigRunner run_ensemble builds for the spec's first config."""
+    vc = validate(spec.configs[0])
+    return _ConfigRunner(spec, vc, build_couplings(vc))
 
 
 def test_spec_validation():
@@ -72,35 +80,35 @@ def test_realization_seed_is_stable_and_cell_specific():
 
 
 def test_zero_disorder_column_degenerate():
-    result = run_ensemble(small_spec())
+    [result] = run_ensemble(small_spec())
     for name, values in result.scalars.items():
         assert np.ptp(values[0]) == 0.0, name
         assert result.aggregates[name][0, 1] == 0.0, name
         assert result.aggregates[name][0, 0] == values[0, 0], name
     # and matches a direct single run of the same machinery
-    runner = _ConfigRunner(small_spec())
+    runner = config_runner(small_spec())
     scalars = runner.run_cell(None)
     assert result.scalars["survival"][0, 0] == scalars["survival"]
 
 
 def test_deterministic_across_worker_counts():
-    serial = run_ensemble(small_spec(max_workers=1))
-    threaded = run_ensemble(small_spec(max_workers=4))
+    [serial] = run_ensemble(small_spec(max_workers=1))
+    [threaded] = run_ensemble(small_spec(max_workers=4))
     for name in serial.scalars:
         assert np.array_equal(serial.scalars[name], threaded.scalars[name]), name
         assert np.array_equal(serial.aggregates[name], threaded.aggregates[name])
 
 
 def test_rerun_bitwise_identical():
-    one = run_ensemble(small_spec())
-    two = run_ensemble(small_spec())
+    [one] = run_ensemble(small_spec())
+    [two] = run_ensemble(small_spec())
     for name in one.scalars:
         assert np.array_equal(one.scalars[name], two.scalars[name])
 
 
 def test_aggregate_shape_and_content():
     spec = small_spec()
-    result = run_ensemble(spec)
+    [result] = run_ensemble(spec)
     agg = result.aggregates["survival"]
     assert agg.shape == (2, 3)
     vals = result.scalars["survival"][1]
@@ -130,35 +138,36 @@ def test_failure_fraction_aborts(monkeypatch):
         run_ensemble(spec)
 
 
-def test_compare_configs_identical_inputs_zero_diff():
-    spec = small_spec(n_realizations=3)
-    comp = compare_configs(spec, SMALL)
-    for name in comp.diff_mean:
-        assert np.all(comp.diff_mean[name] == 0.0)
-        assert np.all(comp.diff_sem[name] == 0.0)
-        assert np.all(comp.z_score[name] == 0.0)
+def test_paired_difference_of_identical_configs_is_zero():
+    spec = small_spec(configs=(SMALL, SMALL), n_realizations=3)
+    diff = paired_difference(*run_ensemble(spec))
+    for name, (mean, sem, z_score) in ((name, rows.T) for name, rows in diff.items()):
+        assert np.all(mean == 0.0)
+        assert np.all(sem == 0.0)
+        assert np.all(z_score == 0.0)
 
 
-def test_compare_configs_paired_draws_and_w0_column():
-    spec = small_spec(n_realizations=4)
+def test_paired_run_sees_identical_draws_and_w0_column():
     twin = replace(SMALL, mixing_angle=0.0)
     assert twin.mixing_angle == 0.0
-    comp = compare_configs(spec, twin)
+    base, other = run_ensemble(small_spec(configs=(SMALL, twin), n_realizations=4))
+    diff = paired_difference(base, other)
     # no randomness at W = 0: paired spread vanishes but the means differ
-    assert comp.diff_sem["survival"][0] == 0.0
-    assert comp.diff_mean["survival"][0] != 0.0
+    assert diff["survival"][0, 1] == 0.0
+    assert diff["survival"][0, 0] != 0.0
     # both results saw identical draws, so cells line up one to one
-    assert comp.result_a.scalars["survival"].shape == (2, 4)
+    assert base.scalars["survival"].shape == (2, 4)
 
 
-def test_compare_configs_rejects_mismatched_geometry():
-    spec = small_spec()
+def test_spec_rejects_configs_of_mismatched_geometry():
     other = ChainConfig(n_atoms=8, lattice_const=0.125)
     with pytest.raises(ValueError, match="n_atoms"):
-        compare_configs(spec, other)
+        small_spec(configs=(SMALL, other))
     stretched = ChainConfig(n_atoms=16, lattice_const=0.25)
     with pytest.raises(ValueError, match="lattice_const"):
-        compare_configs(spec, stretched)
+        small_spec(configs=(SMALL, stretched))
+    with pytest.raises(ValueError, match="configs"):
+        small_spec(configs=())
 
 
 def is_draw(runner, disorder, w_index, realization):
@@ -180,7 +189,7 @@ def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
         return scalars
 
     monkeypatch.setattr(_ConfigRunner, "run_cell", blank)
-    result = run_ensemble(spec)
+    [result] = run_ensemble(spec)
     assert result.failures == [(1, 3, "non-finite realspace_ipr, realspace_participation")]
     # the whole cell drops out of every observable, and the count says so
     for name, values in result.scalars.items():
@@ -213,7 +222,7 @@ def test_raising_cell_is_recorded_alike_in_workers_and_serially(monkeypatch):
     two_cpus(monkeypatch)
     monkeypatch.setattr(_ConfigRunner, "run_cell", fail_on_draw((1, 3), synthetic_failure))
     spec = small_spec(n_realizations=21)
-    serial, pooled = (run_ensemble(replace(spec, max_workers=w)) for w in (1, 2))
+    [serial], [pooled] = (run_ensemble(replace(spec, max_workers=w)) for w in (1, 2))
     assert multiprocessing.active_children() == []
     for result in (serial, pooled):
         assert result.failures == [(1, 3, "RuntimeError: synthetic failure")]
@@ -252,9 +261,9 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_never_outnumbers_the_cells(pool_sizes):
-    serial = run_ensemble(small_spec(n_realizations=1))
+    [serial] = run_ensemble(small_spec(n_realizations=1))
     # one W = 0 cell and one W > 0 draw: two cells, so two workers of three
-    pooled = run_ensemble(small_spec(n_realizations=1, max_workers=3))
+    [pooled] = run_ensemble(small_spec(n_realizations=1, max_workers=3))
     # a single cell runs in this process
     run_ensemble(small_spec(w_values=(0.5,), n_realizations=1, max_workers=3))
     assert pool_sizes == [2]
@@ -267,14 +276,65 @@ def test_pool_never_outnumbers_the_usable_cpus(pool_sizes, monkeypatch):
     # one W = 0 cell and three W > 0 draws: four cells, asking for eight workers
     spec = small_spec(n_realizations=3, max_workers=8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pooled = run_ensemble(spec)
+    [pooled] = run_ensemble(spec)
     # a process pinned to one CPU runs its cells in a plain loop
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-    serial = run_ensemble(spec)
+    [serial] = run_ensemble(spec)
     assert pool_sizes == [2]
     assert multiprocessing.active_children() == []
     for name in serial.scalars:
         assert np.array_equal(serial.scalars[name], pooled.scalars[name]), name
+
+
+def test_paired_run_forks_one_pool_and_builds_couplings_once(pool_sizes, monkeypatch):
+    twin = replace(SMALL, mixing_angle=0.0)
+    builds = []
+    build = ensemble.build_couplings
+    monkeypatch.setattr(ensemble, "build_couplings", lambda vc: builds.append(vc) or build(vc))
+    paired = run_ensemble(small_spec(configs=(SMALL, twin), max_workers=2))
+    assert pool_sizes == [2]
+    assert len(builds) == 1
+    assert multiprocessing.active_children() == []
+    # each config's scalars are those of a serial run of that config alone
+    for vc, result in zip((SMALL, twin), paired):
+        [single] = run_ensemble(small_spec(configs=(vc,)))
+        assert result.failures == single.failures == []
+        for name in single.scalars:
+            assert np.array_equal(result.scalars[name], single.scalars[name]), name
+            assert np.array_equal(result.aggregates[name], single.aggregates[name]), name
+
+
+def test_failure_limit_applies_per_config(monkeypatch):
+    # 3 of the twin's 42 realizations fail: over 5 % of its own, under 5 % of all 84
+    run_cell = _ConfigRunner.run_cell
+    lost = {(1, 0), (1, 1), (1, 2)}
+
+    def flaky(self, disorder):
+        if self.vc.mixing_angle == 0.0 and any(is_draw(self, disorder, *c) for c in lost):
+            raise RuntimeError("synthetic failure")
+        return run_cell(self, disorder)
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", flaky)
+    twin = replace(SMALL, mixing_angle=0.0)
+    with pytest.raises(RuntimeError, match="3 of 42 realizations failed in config 1"):
+        run_ensemble(small_spec(configs=(SMALL, twin), n_realizations=21))
+
+
+def test_dead_worker_in_a_paired_run_names_its_config(monkeypatch):
+    two_cpus(monkeypatch)  # os._exit must run in a worker, never in this process
+    run_cell = _ConfigRunner.run_cell
+    dies = fail_on_draw((1, 3), lambda: os._exit(1))
+
+    def twin_dies(self, disorder):
+        return (dies if self.vc.mixing_angle == 0.0 else run_cell)(self, disorder)
+
+    monkeypatch.setattr(_ConfigRunner, "run_cell", twin_dies)
+    twin = replace(SMALL, mixing_angle=0.0)
+    with pytest.raises(RuntimeError, match=r"worker process died; \d+ realizations") as info:
+        run_ensemble(small_spec(configs=(SMALL, twin), max_workers=2))
+    # lost realizations are listed per config index; the twin's (1, 3) is among them
+    assert re.search(r"1: \[[^\]]*\(1, 3\)", str(info.value))
+    assert multiprocessing.active_children() == []
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "directional.cfg"
@@ -284,7 +344,7 @@ def test_cell_bits_do_not_depend_on_the_global_rng():
     # scipy's expm_multiply estimates norms with numpy's global RNG, so its
     # output can depend on np.random.seed; a cell must neither read nor move it
     vc, seed = read_config(SHIPPED)
-    runner = _ConfigRunner(EnsembleSpec(base_config=vc, w_values=(1.0,), master_seed=seed))
+    runner = config_runner(EnsembleSpec(configs=(vc,), w_values=(1.0,), master_seed=seed))
     draw = disorder_sample(realization_seed(seed, 0, 0), 1.0, vc.n_atoms)
     assert runner.blocks.with_onsite(draw.energies).steps(13.0) * 200 <= vc.n_atoms**2
     runs = []
@@ -303,14 +363,14 @@ def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
     spectral = []
     propagator = ensemble.Propagator
     monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
-    blocks = _ConfigRunner(small_spec(base_config=vc)).blocks.with_onsite(draw.energies)
+    blocks = config_runner(small_spec(configs=(vc,))).blocks.with_onsite(draw.energies)
     step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
     last = vc.n_atoms**2 // 200  # the most steps the Taylor path takes
     state0 = spin_wave(vc)
     cases = (((last - 0.5) * step, False), ((last + 0.5) * step, True), (30.0, True))
     for t, on_spectral_path in cases:
         spectral.clear()
-        runner = _ConfigRunner(small_spec(base_config=vc, observation_time=t))
+        runner = config_runner(small_spec(configs=(vc,), observation_time=t))
         got = runner.run_cell(draw)
         assert bool(spectral) == on_spectral_path, t
         # the other path, at the same time and through the same observables
@@ -329,13 +389,13 @@ def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
     spectral = []
     propagator = ensemble.Propagator
     monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
-    blocks = _ConfigRunner(small_spec(base_config=vc)).blocks
+    blocks = config_runner(small_spec(configs=(vc,))).blocks
     step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
     last = n_atoms**2 // 200
     for steps in (last, last + 1):
         t = (steps - 0.5) * step
         assert blocks.steps(t) == steps
         spectral.clear()
-        _ConfigRunner(small_spec(base_config=vc, observation_time=t)).run_cell(None)
+        config_runner(small_spec(configs=(vc,), observation_time=t)).run_cell(None)
         # run_cell's inline rule before taylor_pays: spectral when s * 200 > N^2
         assert bool(spectral) == (steps * 200 > n_atoms**2) == (not taylor_pays(steps, n_atoms))
