@@ -61,6 +61,7 @@ from .scattering import (
     representation_equivalence_check,
     reciprocity_defect,
     s_matrix,
+    select_scattering,
     spectrum_scan,
     transmittance,
 )
@@ -193,7 +194,7 @@ def cmd_transmit(args, vc, seed):
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
     couplings = build_couplings(vc)
     modes = decay_modes(couplings)
-    scattering = SchurScattering(assemble(vc, couplings).matrix, modes)
+    scattering, condition = select_scattering(assemble(vc, couplings).matrix, modes)
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
     columns = {
@@ -220,6 +221,8 @@ def cmd_transmit(args, vc, seed):
         "worst_resolvent_residual": scan.worst_residual,
         "decay_channels": scattering.channels.shape[1],
         "decay_rate_floor": modes.floor,
+        "scattering": scattering.method,
+        "eigenvector_condition": condition,
         "worst_unitarity": {
             "energy": energy,
             "defect": worst,
@@ -395,7 +398,7 @@ def cmd_disorder(args, vc, seed):
 
 def cmd_verify(args, vc, seed):
     """Invariant suite on a small chain; no data files, checks only."""
-    checks = []
+    checks, extras = [], {}
     for angle in (0.0, np.pi / 4):
         tag = "reciprocal" if angle == 0.0 else "directional"
         small = validate(replace(vc, n_atoms=24, mixing_angle=angle))
@@ -405,7 +408,14 @@ def cmd_verify(args, vc, seed):
         checks.append(CheckResult(f"{tag}_anti_hermitian", anti < 1e-12, anti, 1e-12))
 
         modes = decay_modes(couplings)
-        scattering = SchurScattering(h, modes)
+        scattering, condition = select_scattering(h, modes)
+        extras[f"{tag}_scattering"] = scattering.method
+        extras[f"{tag}_eigenvector_condition"] = condition
+        # the LU path is the reference that the chosen path and Schur, its
+        # fallback, must both reproduce
+        paths = {scattering.method: scattering}
+        if "schur" not in paths:
+            paths["schur"] = SchurScattering(h, modes)
         eigs = scattering.eigenvalues
         trace_defect = abs(float(np.sum(eigs.imag)) + small.n_atoms * GAMMA0) / (
             small.n_atoms * GAMMA0
@@ -417,27 +427,30 @@ def cmd_verify(args, vc, seed):
         half = gamma_sqrt(modes)
         rng = np.random.default_rng(0)
         energies = rng.uniform(-3, 8, size=5)
-        worst_unit, worst_sym, worst_lu = 0.0, 0.0, 0.0
+        worst_unit, worst_sym = 0.0, 0.0
+        worst_lu = dict.fromkeys(paths, 0.0)
         last = small.n_atoms - 1
         for energy in energies:
-            result = scattering.s_matrix(float(energy))
-            worst_unit = max(worst_unit, result.unitarity_defect)
-            fwd = result.transmittance(0, last)
-            bwd = result.transmittance(last, 0)
-            worst_sym = max(worst_sym, abs(fwd - bwd))
-            # the LU path is the reference the Schur path must reproduce
             reference = s_matrix(float(energy), h, half)
             lu_fwd = transmittance(reference, 0, last)
             lu_bwd = transmittance(reference, last, 0)
-            worst_lu = max(worst_lu, abs(fwd - lu_fwd), abs(bwd - lu_bwd))
+            for method, path in paths.items():
+                result = path.s_matrix(float(energy))
+                fwd = result.transmittance(0, last)
+                bwd = result.transmittance(last, 0)
+                worst_lu[method] = max(worst_lu[method], abs(fwd - lu_fwd), abs(bwd - lu_bwd))
+                if path is scattering:
+                    worst_unit = max(worst_unit, result.unitarity_defect)
+                    worst_sym = max(worst_sym, abs(fwd - bwd))
         checks.append(CheckResult(f"{tag}_unitarity", worst_unit < 1e-8, worst_unit, 1e-8))
         if angle == 0.0:
             checks.append(
                 CheckResult(f"{tag}_symmetry", worst_sym < 1e-10, worst_sym, 1e-10)
             )
-        checks.append(
-            CheckResult(f"{tag}_schur_matches_lu", worst_lu < 1e-11, worst_lu, 1e-11)
-        )
+        for method, worst in worst_lu.items():
+            checks.append(
+                CheckResult(f"{tag}_{method}_matches_lu", worst < 1e-11, worst, 1e-11)
+            )
 
         report = representation_equivalence_check(small, couplings)
         checks.append(
@@ -454,7 +467,7 @@ def cmd_verify(args, vc, seed):
                 report.detector_defect, 1e-4,
             )
         )
-    return {}, checks, {}
+    return {}, checks, extras
 
 
 COMMANDS = {

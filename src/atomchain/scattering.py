@@ -11,36 +11,66 @@ Hermitian square root of its decay part.  For real E and a Hermitian
 coherent part, S is exactly unitary; the numerical defect is reported with
 every scan as a self-check.
 
-Scans evaluate S at many energies for one H, so SchurScattering reduces H
-once to its complex Schur form H = Z T Z^dag (Z unitary, T upper
-triangular) and works in decay-channel space.  The channels are the r decay
-eigenvectors U whose rate decay_modes resolves above eigh's rounding (its
-floor, 4 eps max(rate)); every other rate is exactly 0, so sqrt(gamma) =
-U diag(sqrt(rate)) U^dag holds with U alone.  On the shipped 205-atom chains
-r = 138 of 410.  Y = Z^dag U diag(sqrt(rate)) is formed once.  Each energy
-then costs one triangular solve (E - T) X = Y, its residual through the
-triangular product (E - T) X, and the r x r channel matrix
+Scans evaluate S at many energies for one H, so both scan classes
+factorize H once and work in decay-channel space.  The channels are the r
+decay eigenvectors U whose rate decay_modes resolves above eigh's rounding
+(its floor, 4 eps max(rate)); every other rate is exactly 0, so
+sqrt(gamma) = U diag(sqrt(rate)) U^dag holds with U alone.  On the shipped
+205-atom chains r = 138 of 410.  With Ybar = U diag(sqrt(rate)) the r x r
+channel matrix is
 
-    S_r(E) = 1 - i Y^dag X.
+    S_r(E) = 1 - i Ybar^dag (E - H)^{-1} Ybar,
 
-Two identities make S_r all a scan needs, exactly:
+and two identities make S_r all a scan needs, exactly:
 
     S = (1 - U U^dag) + U S_r U^dag         (endpoint blocks from rows of U)
     ||S^dag S - 1||_F = ||S_r^dag S_r - 1||_F   (the unitarity defect)
 
-Because Z is unitary, rounding does not grow with the condition number of
-H's eigenvectors, unlike a spectral resolvent.  The relative residual of
-the triangular solve guards against energies that land too close to a
-long-lived resonance for double precision; a failure raises, it never falls
-back.  t_matrix and s_matrix keep the direct route, one LU factorization of
-E - H per energy with one refinement step, as the reference that the
-benchmark and the tests compare against.
+SpectralScattering reads H = V diag(lambda) V^-1 from
+hamiltonian.eigensystem, the decomposition Propagator also uses, and forms
+L = Ybar^dag V (r x 2N) and P = V^-1 Ybar (2N x r) once.  Each energy then
+costs one product
+
+    S_r(E) = 1 - i (L diag(1 / (E - lambda))) P
+
+(r^2 2N flops, in place of a (2N)^2 r triangular solve and its residual
+product) plus the r^3 unitarity defect, and loads no scipy.  Its residual
+guard is an upper bound on the residual of the solve the decomposition
+implies, X = V diag(1 / (E - lambda)) P:
+
+    ||Ybar - (E - H) X||_F / ||Ybar||_F
+        <= (||V P - Ybar||_F + ||H V - V Lambda||_F ||diag(1 / (E - lambda)) P||_F)
+           / ||Ybar||_F,
+
+whose two fixed norms are formed once and whose last factor is
+sqrt(sum_k ||P_k||^2 / |E - lambda_k|^2), O(2N) per energy.
+
+SchurScattering reduces H once to its complex Schur form H = Z T Z^dag (Z
+unitary, T upper triangular) with Y = Z^dag Ybar.  Each energy costs one
+triangular solve (E - T) X = Y, its residual through the triangular
+product (E - T) X, and S_r = 1 - i Y^dag X.  Because Z is unitary, its
+rounding does not grow with the condition number of H's eigenvectors,
+which the spectral product's does: on a 600-atom chain at a quarter
+wavelength (1-norm condition 5.6e6) the worst spectral defect over 24
+energies reads 4.2e-9 against Schur's 7.8e-12, while up to a condition of
+about 1e3 the two agree within a few times.  So select_scattering takes
+the spectral route only while the 1-norm condition number that
+eigensystem reads off V^-1 is at most SPECTRAL_CONDITION_LIMIT = 1e4
+(1.0e3 and 2.1e2 on the shipped chains), and Schur otherwise; Schur also
+stays as the oracle the tests hold the spectral route to.
+
+Either guard raises ResolventSingularity when the relative residual is
+not finite or exceeds 1e-6: the energy has landed too close to a
+long-lived resonance for double precision.  A failure raises, it never
+falls back.  t_matrix and s_matrix keep the direct route, one LU
+factorization of E - H per energy with one refinement step, as the
+reference that the benchmark and the tests compare against.
 
 scipy.linalg is imported inside the code that factorizes (schur in
 SchurScattering, solve_triangular and ztrmm per energy, lu_factor and
 lu_solve in t_matrix), not at module level: the CLI imports this module
-for every command, and only transmit and verify run any of it.  The
-smoothing boxcar is a numpy running sum that reproduces
+for every command, and transmit loads scipy only when it falls back to
+Schur.  The smoothing boxcar is a numpy running sum that reproduces
 scipy.ndimage.uniform_filter1d (mode="nearest") bit for bit, so no command
 loads scipy.ndimage.
 
@@ -68,10 +98,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .chain_model import DIPOLES, GAMMA0, K0, ChainConfig, positions
 from .collective_couplings import CouplingMatrices
-from .hamiltonian import drive_hamiltonian
+from .hamiltonian import Eigensystem, drive_hamiltonian, eigensystem
 from .spectrum import NormalModes, decay_modes
 
 _RESIDUAL_LIMIT = 1e-6
+# largest 1-norm condition number of H's eigenvectors that select_scattering
+# hands to SpectralScattering (the shipped chains: 1.0e3 and 2.1e2)
+SPECTRAL_CONDITION_LIMIT = 1e4
 _N_POLAR = 128  # Gauss-Legendre nodes in cos(theta) of the detector sphere
 _N_AZIMUTH = 8  # uniform trapezoid nodes in phi
 
@@ -152,7 +185,8 @@ class ChannelSMatrix:
     """S at one energy in decay-channel space: S = (1 - U U^dag) + U matrix U^dag.
 
     unitarity_defect is ||S^dag S - 1||_F, equal to that of the r x r
-    matrix; residual is the relative residual of the triangular solve.
+    matrix; residual is the relative residual of the resolvent solve (the
+    Schur triangular solve's, or SpectralScattering's upper bound on it).
     """
 
     matrix: np.ndarray
@@ -169,6 +203,56 @@ class ChannelSMatrix:
         return float(np.sum(np.abs(block) ** 2))
 
 
+class SpectralScattering:
+    """S(E) of one H at any number of energies from one eigendecomposition of H.
+
+    h is the matrix of H and modes its decay_modes, with the same channels
+    as SchurScattering; eigen is hamiltonian.eigensystem(h), formed here
+    when not passed.  `eigenvalues` is the complex spectrum of H in eig's
+    order.
+    """
+
+    method = "spectral"
+
+    def __init__(self, h: np.ndarray, modes: NormalModes, eigen: Eigensystem | None = None):
+        if eigen is None:
+            eigen = eigensystem(h)
+        if eigen.inverse is None:
+            raise ResolventSingularity("the eigenvector matrix of H is singular")
+        self.eigenvalues = eigen.values
+        positive = modes.rates > 0
+        self.channels = modes.vectors[:, positive]
+        y = self.channels * np.sqrt(modes.rates[positive])
+        v = eigen.vectors
+        self._left = y.conj().T @ v
+        self._right = eigen.inverse @ y
+        self._right_rows = np.sum(self._right.real**2 + self._right.imag**2, axis=1)
+        # the two fixed terms of the residual bound, relative to ||Ybar||_F
+        y_norm = np.linalg.norm(y)
+        self._basis_defect = np.linalg.norm(v @ self._right - y) / y_norm
+        self._pair_defect = np.linalg.norm(h @ v - v * self.eigenvalues) / y_norm
+
+    def s_matrix(self, energy: float) -> ChannelSMatrix:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = 1.0 / (energy - self.eigenvalues)
+            rel = self._basis_defect + self._pair_defect * np.sqrt(
+                np.dot(self._right_rows, d.real**2 + d.imag**2)
+            )
+        if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:
+            raise ResolventSingularity(
+                f"resolvent solve at energy {energy!r} left relative residual {rel:.2e}; "
+                "the energy sits too close to a long-lived resonance"
+            )
+        s_r = np.eye(self._right.shape[1], dtype=complex) - 1j * ((self._left * d) @ self._right)
+        defect = np.linalg.norm(s_r.conj().T @ s_r - np.eye(s_r.shape[0]))
+        return ChannelSMatrix(
+            matrix=s_r,
+            channels=self.channels,
+            unitarity_defect=float(defect),
+            residual=float(rel),
+        )
+
+
 class SchurScattering:
     """S(E) of one H at any number of energies from one Schur form of H.
 
@@ -179,6 +263,8 @@ class SchurScattering:
     triangular factor, `eigenvalues`, is the complex spectrum of H
     (frequency - i * halfwidth, in Schur order).
     """
+
+    method = "schur"
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
         from scipy.linalg import schur
@@ -222,6 +308,20 @@ class SchurScattering:
         )
 
 
+def select_scattering(
+    h: np.ndarray, modes: NormalModes
+) -> tuple[SpectralScattering | SchurScattering, float]:
+    """SpectralScattering when the eigenvectors of H are conditioned well enough, else Schur.
+
+    Returns the scattering and the 1-norm condition number of H's
+    eigenvectors that chose it.
+    """
+    eigen = eigensystem(h)
+    if eigen.condition <= SPECTRAL_CONDITION_LIMIT:
+        return SpectralScattering(h, modes, eigen), eigen.condition
+    return SchurScattering(h, modes), eigen.condition
+
+
 @dataclass
 class SpectrumScan:
     energies: np.ndarray
@@ -249,7 +349,7 @@ def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 def spectrum_scan(
-    scattering: SchurScattering,
+    scattering: SpectralScattering | SchurScattering,
     energies: np.ndarray,
     source_site: int,
     target_site: int,
@@ -257,7 +357,8 @@ def spectrum_scan(
 ) -> SpectrumScan:
     """Transmittance in both directions over an energy grid.
 
-    worst_residual is the largest relative resolvent residual of the scan.
+    worst_residual is the largest relative resolvent residual of the scan
+    (see ChannelSMatrix.residual).
     smoothing_window is an energy width; it is converted to a boxcar over
     grid samples (None or 0 disables smoothing) and may not exceed the span
     of a grid of more than one energy.
@@ -306,10 +407,16 @@ def reciprocity_defect(vc: ChainConfig, couplings: CouplingMatrices) -> float:
     generating matrices, not proof of asymmetric transmission at every
     parameter point.
     """
+    # the drive is block diagonal: [D, G]_nm = D_n G_nm - G_nm D_m on 2x2
+    # site blocks, O(N^2) in place of two dense (2N)^3 products
+    n = vc.n_atoms
     drive = drive_hamiltonian(vc)
-    decay = couplings.decay
-    num = np.linalg.norm(drive @ decay - decay @ drive)
-    den = np.linalg.norm(drive) * np.linalg.norm(decay)
+    d = drive.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :]  # D_n as (n, a, b)
+    g = couplings.decay.reshape(n, 2, n, 2)  # G_nm as (n, a, m, b)
+    left = d[:, :, 0, None, None] * g[:, None, 0] + d[:, :, 1, None, None] * g[:, None, 1]
+    right = g[..., 0, None] * d[:, 0] + g[..., 1, None] * d[:, 1]
+    num = np.linalg.norm(left - right)
+    den = np.linalg.norm(drive) * np.linalg.norm(couplings.decay)
     return float(num / den)
 
 

@@ -128,6 +128,9 @@ def test_transmit_reciprocal_checks(tmp_path):
     floor = manifest["extras"]["decay_rate_floor"]
     assert floor == pytest.approx(4 * np.finfo(float).eps * rates[-1], rel=1e-12)
     assert manifest["extras"]["decay_channels"] == np.count_nonzero(rates > floor)
+    # a 24-atom chain's eigenvectors are well conditioned: the spectral route
+    assert manifest["extras"]["scattering"] == "spectral"
+    assert 1.0 <= manifest["extras"]["eigenvector_condition"] <= 1e4
     body = (out / "transmit.csv").read_text().splitlines()
     assert body[0].startswith("energy,t_forward,t_backward")
     assert len(body) == 41
@@ -151,6 +154,23 @@ def test_unitarity_failure_names_the_nearest_pole(tmp_path):
     assert pole_re == pytest.approx(-0.57626, abs=1e-5)
     assert pole_im == pytest.approx(-1.32e-7, rel=1e-2)
     assert worst["offset_in_widths"] == abs(float(energy) - pole_re) / abs(pole_im) < 1.0
+
+
+def test_narrowest_directional_pole_passes_unitarity(tmp_path):
+    # the directional chain's narrowest resonance, -0.46572 - 1.08e-7 i, sits
+    # just under the limit: 8.3e-9 by the spectral route, 9.6e-9 by Schur
+    energy = "-0.4657196693067104"
+    out = tmp_path / "out"
+    rc = main(["transmit", "--config", str(CONFIGS / "directional.cfg"), "--out", str(out),
+               "--n-e", "1", "--e-min", energy, "--e-max", energy])
+    assert rc == 0
+    manifest = read_manifest(out)
+    assert manifest["extras"]["scattering"] == "spectral"
+    unitarity = {c["name"]: c for c in manifest["self_checks"]}["unitarity"]
+    assert unitarity["passed"] and unitarity["value"] > 1e-9
+    pole_re, pole_im = manifest["extras"]["worst_unitarity"]["nearest_eigenvalue"]
+    assert pole_re == pytest.approx(-0.46572, abs=1e-5)
+    assert pole_im == pytest.approx(-1.08e-7, rel=1e-2)
 
 
 def test_evolve_outputs_and_checks(tmp_path):
@@ -489,7 +509,13 @@ def test_verify_passes_on_default_config(tmp_path):
     assert len(manifest["self_checks"]) >= 10
     assert all(c["passed"] for c in manifest["self_checks"])
     names = {c["name"] for c in manifest["self_checks"]}
-    assert {"reciprocal_schur_matches_lu", "directional_schur_matches_lu"} <= names
+    assert {
+        f"{tag}_{method}_matches_lu"
+        for tag in ("reciprocal", "directional")
+        for method in ("schur", "spectral")
+    } <= names
+    extras = manifest["extras"]
+    assert extras["reciprocal_scattering"] == extras["directional_scattering"] == "spectral"
 
 
 def test_seed_precedence(tmp_path):

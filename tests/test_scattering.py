@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -12,13 +13,16 @@ from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import assemble, disorder_sample
 from atomchain.scattering import (
+    SPECTRAL_CONDITION_LIMIT,
     ResolventSingularity,
     SchurScattering,
+    SpectralScattering,
     _boxcar,
     gamma_sqrt,
     reciprocity_defect,
     representation_equivalence_check,
     s_matrix,
+    select_scattering,
     spectrum_scan,
     t_matrix,
     transmittance,
@@ -115,15 +119,25 @@ def test_t_matrix_residual_guard():
     tiny = np.diag([1e-310, 1.0]).astype(complex)
     with pytest.raises(ResolventSingularity):
         SchurScattering(tiny, modes).s_matrix(0.0)
+    # the spectral bound is not finite in both cases, and says so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for matrix in (h, tiny):
+            with pytest.raises(ResolventSingularity):
+                SpectralScattering(matrix, modes).s_matrix(0.0)
+    # a nilpotent H has an exactly singular eigenvector matrix: no spectral route
+    with pytest.raises(ResolventSingularity):
+        SpectralScattering(np.eye(3, k=1, dtype=complex), NormalModes(np.ones(3), np.eye(3)))
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0])
-def test_schur_channel_s_matrix_matches_lu(dir24, dir24_couplings, w):
+@pytest.mark.parametrize("method", [SchurScattering, SpectralScattering], ids=["schur", "spectral"])
+def test_schur_channel_s_matrix_matches_lu(dir24, dir24_couplings, w, method):
     disorder = disorder_sample(5, w, dir24.n_atoms) if w else None
     h = assemble(dir24, dir24_couplings, disorder).matrix
     modes = decay_modes(dir24_couplings)
     half = gamma_sqrt(modes)
-    scattering = SchurScattering(h, modes)
+    scattering = method(h, modes)
     u = scattering.channels
     eye = np.eye(h.shape[0])
     for energy in (-1.0, 0.5, 1.647, 3.0, 6.0):
@@ -308,6 +322,19 @@ def test_floored_channels_match_every_positive_rate(shipped, name, resonance):
         if vc.reciprocal:
             assert abs(fwd - bwd) < 1e-10, energy
     assert got.transmittance(0, last) > 0.3  # T at the resonance
+
+
+@pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])
+def test_well_conditioned_chains_take_the_spectral_route(request, shipped, name):
+    if name in shipped:
+        _, couplings, h = shipped[name]
+    else:
+        couplings = request.getfixturevalue(f"{name}_couplings")
+        h = assemble(request.getfixturevalue(name), couplings).matrix
+    scattering, condition = select_scattering(h, decay_modes(couplings))
+    assert isinstance(scattering, SpectralScattering)
+    # the shipped chains read 1.0e3 and 2.1e2, the 24-atom chains below 1e2
+    assert 1.0 <= condition <= SPECTRAL_CONDITION_LIMIT / 5
 
 
 @pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])

@@ -1,7 +1,9 @@
 """Importing the CLI loads numpy only; scipy waits for the code that factorizes.
 
 scipy's import costs several times the physics of a short `dispersion` or
-`evolve` run, so no atomchain module imports it at module level.  Nor does
+`evolve` run, so no atomchain module imports it at module level.  `transmit`
+on a well-conditioned chain scans by eigendecomposition and loads none of
+it; only its Schur fallback loads scipy.linalg.  Nor does
 any command load a process pool module (`concurrent.*`, `multiprocessing*`)
 unless an ensemble runs on more than one worker.  The
 benchmark's set-up child takes `read_config, validate, build_couplings,
@@ -46,6 +48,13 @@ for argv in (
 argv = ["transmit", "--n-e", "16", "--smoothing", "3"]  # a 3-sample boxcar
 code = cli.main(argv + ["--config", cfg, "--out", out + "/transmit"])
 report["transmit"] = [code, scipy_modules()]
+# no chain passes a limit of 0, so this run takes the Schur fallback
+import atomchain.scattering
+atomchain.scattering.SPECTRAL_CONDITION_LIMIT = 0.0
+code = cli.main(argv + ["--config", cfg, "--out", out + "/schur"])
+with open(out + "/schur/manifest.json") as fh:
+    method = json.load(fh)["extras"]["scattering"]
+report["schur"] = [code, method, scipy_modules()]
 print(json.dumps(report))
 """
 
@@ -69,7 +78,8 @@ def test_cli_commands_without_factorization_load_no_scipy(tmp_path):
     assert report["setup"] == []
     for command in ("dispersion", "evolve", "disorder"):
         assert report[command] == [0, [], []], command
-    code, loaded = report["transmit"]
-    assert code == 0
+    assert report["transmit"] == [0, []]
+    code, method, loaded = report["schur"]
+    assert (code, method) == (0, "schur")
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.ndimage")]
