@@ -56,12 +56,11 @@ from .dynamics import (
 from .ensemble import SCALAR_OBSERVABLES, EnsembleSpec, paired_difference, run_ensemble
 from .hamiltonian import assemble
 from .scattering import (
-    SchurScattering,
+    KMatrixScattering,
     gamma_sqrt,
     representation_equivalence_check,
     reciprocity_defect,
     s_matrix,
-    select_scattering,
     spectrum_scan,
     transmittance,
 )
@@ -194,7 +193,7 @@ def cmd_transmit(args, vc, seed):
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
     couplings = build_couplings(vc)
     modes = decay_modes(couplings)
-    scattering, condition = select_scattering(assemble(vc, couplings).matrix, modes)
+    scattering = KMatrixScattering(assemble(vc, couplings).matrix, modes)
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
     columns = {
@@ -209,20 +208,19 @@ def cmd_transmit(args, vc, seed):
     worst_at = int(np.argmax(scan.unitarity_defect))
     worst = float(scan.unitarity_defect[worst_at])
     checks.append(CheckResult("unitarity", worst < 1e-8, worst, 1e-8))
-    # a defect near the limit within a few widths of the nearest eigenvalue
-    # is a resonance too narrow for the double-precision H, not a bad solve
+    # the resonance the scan split off at the worst energy, and how far away
+    # that energy sits in its half widths
     energy = float(scan.energies[worst_at])
-    pole = complex(scattering.eigenvalues[np.argmin(np.abs(energy - scattering.eigenvalues))])
+    pole = scattering.s_matrix(energy).pole
     if vc.reciprocal:
         asym = float(np.max(np.abs(scan.forward - scan.backward)))
         checks.append(CheckResult("direction_symmetry", asym < 1e-8, asym, 1e-8))
     extras = {
         "reciprocity_defect": reciprocity_defect(vc, couplings),
-        "worst_resolvent_residual": scan.worst_residual,
+        "eigh_residual": scattering.eigh_residual,
+        "eigh_orthogonality": scattering.eigh_orthogonality,
         "decay_channels": scattering.channels.shape[1],
         "decay_rate_floor": modes.floor,
-        "scattering": scattering.method,
-        "eigenvector_condition": condition,
         "worst_unitarity": {
             "energy": energy,
             "defect": worst,
@@ -407,16 +405,7 @@ def cmd_verify(args, vc, seed):
         anti = float(np.max(np.abs((h - h.conj().T) + 1j * couplings.decay)))
         checks.append(CheckResult(f"{tag}_anti_hermitian", anti < 1e-12, anti, 1e-12))
 
-        modes = decay_modes(couplings)
-        scattering, condition = select_scattering(h, modes)
-        extras[f"{tag}_scattering"] = scattering.method
-        extras[f"{tag}_eigenvector_condition"] = condition
-        # the LU path is the reference that the chosen path and Schur, its
-        # fallback, must both reproduce
-        paths = {scattering.method: scattering}
-        if "schur" not in paths:
-            paths["schur"] = SchurScattering(h, modes)
-        eigs = scattering.eigenvalues
+        eigs = np.linalg.eigvals(h)
         trace_defect = abs(float(np.sum(eigs.imag)) + small.n_atoms * GAMMA0) / (
             small.n_atoms * GAMMA0
         )
@@ -424,33 +413,34 @@ def cmd_verify(args, vc, seed):
             CheckResult(f"{tag}_decay_trace", trace_defect < 1e-10, trace_defect, 1e-10)
         )
 
+        # the LU path is the reference that transmit's K-matrix scan must reproduce
+        modes = decay_modes(couplings)
+        scattering = KMatrixScattering(h, modes)
         half = gamma_sqrt(modes)
         rng = np.random.default_rng(0)
         energies = rng.uniform(-3, 8, size=5)
-        worst_unit, worst_sym = 0.0, 0.0
-        worst_lu = dict.fromkeys(paths, 0.0)
+        worst_unit, worst_sym, worst_lu = 0.0, 0.0, 0.0
         last = small.n_atoms - 1
         for energy in energies:
             reference = s_matrix(float(energy), h, half)
-            lu_fwd = transmittance(reference, 0, last)
-            lu_bwd = transmittance(reference, last, 0)
-            for method, path in paths.items():
-                result = path.s_matrix(float(energy))
-                fwd = result.transmittance(0, last)
-                bwd = result.transmittance(last, 0)
-                worst_lu[method] = max(worst_lu[method], abs(fwd - lu_fwd), abs(bwd - lu_bwd))
-                if path is scattering:
-                    worst_unit = max(worst_unit, result.unitarity_defect)
-                    worst_sym = max(worst_sym, abs(fwd - bwd))
+            result = scattering.s_matrix(float(energy))
+            fwd = result.transmittance(0, last)
+            bwd = result.transmittance(last, 0)
+            worst_lu = max(
+                worst_lu,
+                abs(fwd - transmittance(reference, 0, last)),
+                abs(bwd - transmittance(reference, last, 0)),
+            )
+            worst_unit = max(worst_unit, result.unitarity_defect)
+            worst_sym = max(worst_sym, abs(fwd - bwd))
         checks.append(CheckResult(f"{tag}_unitarity", worst_unit < 1e-8, worst_unit, 1e-8))
         if angle == 0.0:
             checks.append(
                 CheckResult(f"{tag}_symmetry", worst_sym < 1e-10, worst_sym, 1e-10)
             )
-        for method, worst in worst_lu.items():
-            checks.append(
-                CheckResult(f"{tag}_{method}_matches_lu", worst < 1e-11, worst, 1e-11)
-            )
+        checks.append(
+            CheckResult(f"{tag}_kmatrix_matches_lu", worst_lu < 1e-11, worst_lu, 1e-11)
+        )
 
         report = representation_equivalence_check(small, couplings)
         checks.append(

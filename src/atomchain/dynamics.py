@@ -1,13 +1,12 @@
 """Time evolution, spin-wave preparation, and far fields.
 
 Evolution under the non-Hermitian Hamiltonian has two propagators.
-Propagator does one spectral decomposition of H, hamiltonian.eigensystem
-(eig + inv, the same eigensystem scattering.SpectralScattering reads),
-and then evaluates any time diagonally, so its cost does not grow with t.
-If the eigenvector matrix is ill-conditioned (1-norm condition number,
-read off the inverse, above 1e12 or not finite, which never happens for
-the chains studied here but can for contrived inputs) it falls back to a
-dense scaling-and-squaring matrix exponential per snapshot
+Propagator does one spectral decomposition (eig + inv of H) and then
+evaluates any time diagonally, so its cost does not grow with t.  If the
+eigenvector matrix is ill-conditioned (1-norm condition number, read off
+the inverse it needs anyway, above 1e12 or not finite, which never happens
+for the chains studied here but can for contrived inputs) it falls back
+to a dense scaling-and-squaring matrix exponential per snapshot
 (scipy.linalg.expm, imported only on that branch).
 TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
@@ -41,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain_model import DIPOLES, K0, ChainConfig, positions
-from .hamiltonian import NonHermitianHamiltonian, eigensystem
+from .hamiltonian import NonHermitianHamiltonian
 
 _CONDITION_LIMIT = 1e12
 # Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1: a step
@@ -115,12 +114,17 @@ class Propagator:
 
     def __init__(self, h: NonHermitianHamiltonian):
         self.matrix = h.matrix
-        eigen = eigensystem(self.matrix)
-        if eigen.condition <= _CONDITION_LIMIT:
-            self._spectral = (eigen.values, eigen.vectors, eigen.inverse)
-        else:  # also a singular V (inf) and an overflow in the inverse (NaN)
+        values, vectors = np.linalg.eig(self.matrix)
+        try:
+            inverse = np.linalg.inv(vectors)
+            cond = np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1)
+        except np.linalg.LinAlgError:  # eig can return an exactly singular V
+            cond = np.inf
+        if cond <= _CONDITION_LIMIT:
+            self._spectral = (values, vectors, inverse)
+        else:  # also a NaN product, from overflow in the inverse
             warnings.warn(
-                f"eigenvector condition number (1-norm) {eigen.condition:.2e} exceeds "
+                f"eigenvector condition number (1-norm) {cond:.2e} exceeds "
                 f"{_CONDITION_LIMIT:.0e}; falling back to dense matrix exponentials"
             )
             self._spectral = None

@@ -6,11 +6,8 @@ the Hermitian 2x2 driven-atom blocks, (shift, decay) come from
 collective_couplings, and V is an optional diagonal disorder potential that
 adds the same random energy to both polarizations of a site.  The
 anti-Hermitian part of H is exactly -(i/2) * decay by construction, which is
-the identity behind S-matrix unitarity.
-
-eigensystem is the one eigendecomposition H = V diag(values) V^-1 that
-dynamics.Propagator and scattering.SpectralScattering both read, with the
-1-norm condition number of V that each caller compares to its own limit.
+the identity behind S-matrix unitarity: scattering.KMatrixScattering
+works from the Hermitian part (H + H^dag) / 2 and the decay channels.
 """
 
 from __future__ import annotations
@@ -34,31 +31,6 @@ class NonHermitianHamiltonian:
     """The assembled H; `matrix` is the dense 2N x 2N array."""
 
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """H = vectors diag(values) inverse, and ||V||_1 ||V^-1||_1 as `condition`.
-
-    inverse is None, and condition inf, when eig returns an exactly singular
-    V; an overflow in the inverse leaves condition NaN.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    inverse: np.ndarray | None
-    condition: float
-
-
-def eigensystem(matrix: np.ndarray) -> Eigensystem:
-    """One eig + inv of a dense matrix, with the eigenvectors' 1-norm condition number."""
-    values, vectors = np.linalg.eig(matrix)
-    try:
-        inverse = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        return Eigensystem(values, vectors, None, np.inf)
-    condition = np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1)
-    return Eigensystem(values, vectors, inverse, float(condition))
 
 
 def _drive_terms(vc: ChainConfig) -> tuple[float, float, float]:

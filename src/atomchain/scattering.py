@@ -11,8 +11,8 @@ Hermitian square root of its decay part.  For real E and a Hermitian
 coherent part, S is exactly unitary; the numerical defect is reported with
 every scan as a self-check.
 
-Scans evaluate S at many energies for one H, so both scan classes
-factorize H once and work in decay-channel space.  The channels are the r
+Scans evaluate S at many energies for one H, so KMatrixScattering
+factorizes once and works in decay-channel space.  The channels are the r
 decay eigenvectors U whose rate decay_modes resolves above eigh's rounding
 (its floor, 4 eps max(rate)); every other rate is exactly 0, so
 sqrt(gamma) = U diag(sqrt(rate)) U^dag holds with U alone.  On the shipped
@@ -26,53 +26,53 @@ and two identities make S_r all a scan needs, exactly:
     S = (1 - U U^dag) + U S_r U^dag         (endpoint blocks from rows of U)
     ||S^dag S - 1||_F = ||S_r^dag S_r - 1||_F   (the unitarity defect)
 
-SpectralScattering reads H = V diag(lambda) V^-1 from
-hamiltonian.eigensystem, the decomposition Propagator also uses, and forms
-L = Ybar^dag V (r x 2N) and P = V^-1 Ybar (2N x r) once.  Each energy then
-costs one product
+Method.  H = H_R - (i/2) Ybar Ybar^dag with H_R = (H + H^dag) / 2 exactly
+Hermitian (Ybar Ybar^dag is the decay matrix to the rounding of the rate
+floor, 1.6e-15 on the tested chains), so by Woodbury S_r is the Cayley
+transform of the Hermitian reaction (K) matrix (Mahaux & Weidenmueller,
+Shell-Model Approach to Nuclear Reactions, 1969; Verbaarschot,
+Weidenmueller & Zirnbauer, Phys. Rep. 129, 367, 1985):
 
-    S_r(E) = 1 - i (L diag(1 / (E - lambda))) P
+    S_r = (1 - i K / 2) (1 + i K / 2)^-1 = 2 M^-1 - 1,    M = 1 + i K / 2,
+    K(E) = A diag(1 / (E - eps)) A^dag,                     A = Ybar^dag W,
 
-(r^2 2N flops, in place of a (2N)^2 r triangular solve and its residual
-product) plus the r^3 unitarity defect, and loads no scipy.  Its residual
-guard is an upper bound on the residual of the solve the decomposition
-implies, X = V diag(1 / (E - lambda)) P:
+with (eps, W) = eigh(H_R), formed once.  No condition number enters: W is
+unitary, and a Hermitian K leaves every singular value of M at least 1.
 
-    ||Ybar - (E - H) X||_F / ||Ybar||_F
-        <= (||V P - Ybar||_F + ||H V - V Lambda||_F ||diag(1 / (E - lambda)) P||_F)
-           / ||Ybar||_F,
+Split.  K has real poles at eps, so at every energy the nearest level j is
+taken out of K, with no threshold: K' is K with the 1 / (E - eps_j) term
+zeroed, symmetrized so that it is exactly Hermitian, and M' = 1 + i K' / 2
+is inverted once.  With a_j = A[:, j] the level comes back by
+Sherman-Morrison,
 
-whose two fixed norms are formed once and whose last factor is
-sqrt(sum_k ||P_k||^2 / |E - lambda_k|^2), O(2N) per energy.
+    M^-1 = M'^-1 - (i/2) (M'^-1 a_j) (a_j^dag M'^-1) / (E - pole_j),
+    pole_j = eps_j - (i/2) a_j^dag M'^-1 a_j,
 
-SchurScattering reduces H once to its complex Schur form H = Z T Z^dag (Z
-unitary, T upper triangular) with Y = Z^dag Ybar.  Each energy costs one
-triangular solve (E - T) X = Y, its residual through the triangular
-product (E - T) X, and S_r = 1 - i Y^dag X.  Because Z is unitary, its
-rounding does not grow with the condition number of H's eigenvectors,
-which the spectral product's does: on a 600-atom chain at a quarter
-wavelength (1-norm condition 5.6e6) the worst spectral defect over 24
-energies reads 4.2e-9 against Schur's 7.8e-12, while up to a condition of
-about 1e3 the two agree within a few times.  So select_scattering takes
-the spectral route only while the 1-norm condition number that
-eigensystem reads off V^-1 is at most SPECTRAL_CONDITION_LIMIT = 1e4
-(1.0e3 and 2.1e2 on the shipped chains), and Schur otherwise; Schur also
-stays as the oracle the tests hold the spectral route to.
+whose denominator has no real zero: a_j^dag M'^-1 a_j has a positive real
+part, so pole_j lies below the real axis.  pole_j is the complex resonance
+of H that the split level becomes, and the transmit manifest names it as
+the pole nearest the worst-unitarity energy.  K' costs r^2 2N flops per
+energy and the solve about r^3.
 
-Either guard raises ResolventSingularity when the relative residual is
-not finite or exceeds 1e-6: the energy has landed too close to a
-long-lived resonance for double precision.  A failure raises, it never
-falls back.  t_matrix and s_matrix keep the direct route, one LU
-factorization of E - H per energy with one refinement step, as the
-reference that the benchmark and the tests compare against.
+Guard.  eigh's own accuracy is checked once per scan: the relative
+residual ||H_R W - W eps||_F / ||H_R||_F and the orthogonality defect
+||W^dag W - 1||_F both must be finite and at most 1e-6, or the
+constructor raises ResolventSingularity.  A non-finite S_r at any energy
+(a degenerate level exactly at E, or overflow) raises it too, with every
+floating-point warning of that arithmetic silenced so only the exception
+speaks.  A failure raises; there is no fallback.  Because S_r is unitary by
+construction, the per-energy unitarity defect measures the rounding of the
+Cayley solve, not the accuracy of the resolvent; the eigh residuals above
+and the tests' LU reference hold that.  t_matrix and s_matrix keep the
+direct route, one LU factorization of E - H per energy with one
+refinement step, as the reference that verify, the benchmark and the
+tests compare against.
 
-scipy.linalg is imported inside the code that factorizes (schur in
-SchurScattering, solve_triangular and ztrmm per energy, lu_factor and
-lu_solve in t_matrix), not at module level: the CLI imports this module
-for every command, and transmit loads scipy only when it falls back to
-Schur.  The smoothing boxcar is a numpy running sum that reproduces
-scipy.ndimage.uniform_filter1d (mode="nearest") bit for bit, so no command
-loads scipy.ndimage.
+scipy.linalg is imported inside t_matrix (lu_factor and lu_solve), not at
+module level: the CLI imports this module for every command, and only
+verify's LU reference loads scipy.  The smoothing boxcar is a numpy
+running sum that reproduces scipy.ndimage.uniform_filter1d (mode="nearest")
+bit for bit, so no command loads scipy.ndimage.
 
 Photodetection ties decay to emitted photons.  Detection rows take the
 plane-wave (R -> infinity) limit: for a direction Rhat and transverse
@@ -98,26 +98,23 @@ from numpy.polynomial.legendre import leggauss
 
 from .chain_model import DIPOLES, GAMMA0, K0, ChainConfig, positions
 from .collective_couplings import CouplingMatrices
-from .hamiltonian import Eigensystem, drive_hamiltonian, eigensystem
+from .hamiltonian import drive_hamiltonian
 from .spectrum import NormalModes, decay_modes
 
 _RESIDUAL_LIMIT = 1e-6
-# largest 1-norm condition number of H's eigenvectors that select_scattering
-# hands to SpectralScattering (the shipped chains: 1.0e3 and 2.1e2)
-SPECTRAL_CONDITION_LIMIT = 1e4
 _N_POLAR = 128  # Gauss-Legendre nodes in cos(theta) of the detector sphere
 _N_AZIMUTH = 8  # uniform trapezoid nodes in phi
 
 
 class ResolventSingularity(ArithmeticError):
-    """Linear solve at this energy is too ill conditioned to trust."""
+    """A scan's decomposition or an energy's S is not accurate or finite enough to trust."""
 
 
 def gamma_sqrt(modes: NormalModes) -> np.ndarray:
     """Hermitian PSD square root of the decay matrix from its eigensystem.
 
     Built from the rates as decay_modes floors them, so it spans the same
-    channels as SchurScattering.
+    channels as KMatrixScattering.
     """
     v = modes.vectors
     return (v * np.sqrt(modes.rates)) @ v.conj().T
@@ -126,7 +123,7 @@ def gamma_sqrt(modes: NormalModes) -> np.ndarray:
 def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray:
     """Full scattering t matrix at one (real) energy; h is the matrix of H.
 
-    The LU reference for SchurScattering, kept for bench/ and the tests.
+    The LU reference for KMatrixScattering, kept for verify, bench/ and the tests.
     Never forms a dense inverse: one LU factorization of E - H is reused
     for every column of sqrt(gamma), then refined once.
     """
@@ -185,14 +182,14 @@ class ChannelSMatrix:
     """S at one energy in decay-channel space: S = (1 - U U^dag) + U matrix U^dag.
 
     unitarity_defect is ||S^dag S - 1||_F, equal to that of the r x r
-    matrix; residual is the relative residual of the resolvent solve (the
-    Schur triangular solve's, or SpectralScattering's upper bound on it).
+    matrix; pole is the complex resonance nearest the energy, the level
+    KMatrixScattering split off there.
     """
 
     matrix: np.ndarray
     channels: np.ndarray
     unitarity_defect: float
-    residual: float
+    pole: complex
 
     def transmittance(self, source_site: int, target_site: int) -> float:
         """Same quantity as transmittance() on the full S, from its endpoint block."""
@@ -203,123 +200,61 @@ class ChannelSMatrix:
         return float(np.sum(np.abs(block) ** 2))
 
 
-class SpectralScattering:
-    """S(E) of one H at any number of energies from one eigendecomposition of H.
+class KMatrixScattering:
+    """S(E) of one H at any number of energies from one eigh of H's Hermitian part.
 
-    h is the matrix of H and modes its decay_modes, with the same channels
-    as SchurScattering; eigen is hamiltonian.eigensystem(h), formed here
-    when not passed.  `eigenvalues` is the complex spectrum of H in eig's
-    order.
+    h is the matrix of H and modes the decay_modes of its decay part; the
+    channels are the positive-rate modes (138 of 410 on the shipped
+    chains), and H's anti-Hermitian part is read as -(i/2) Ybar Ybar^dag
+    over them.  eigh_residual and eigh_orthogonality are the two accuracy
+    figures of eigh(H_R) that the constructor guards (see the module
+    docstring).
     """
-
-    method = "spectral"
-
-    def __init__(self, h: np.ndarray, modes: NormalModes, eigen: Eigensystem | None = None):
-        if eigen is None:
-            eigen = eigensystem(h)
-        if eigen.inverse is None:
-            raise ResolventSingularity("the eigenvector matrix of H is singular")
-        self.eigenvalues = eigen.values
-        positive = modes.rates > 0
-        self.channels = modes.vectors[:, positive]
-        y = self.channels * np.sqrt(modes.rates[positive])
-        v = eigen.vectors
-        self._left = y.conj().T @ v
-        self._right = eigen.inverse @ y
-        self._right_rows = np.sum(self._right.real**2 + self._right.imag**2, axis=1)
-        # the two fixed terms of the residual bound, relative to ||Ybar||_F
-        y_norm = np.linalg.norm(y)
-        self._basis_defect = np.linalg.norm(v @ self._right - y) / y_norm
-        self._pair_defect = np.linalg.norm(h @ v - v * self.eigenvalues) / y_norm
-
-    def s_matrix(self, energy: float) -> ChannelSMatrix:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = 1.0 / (energy - self.eigenvalues)
-            rel = self._basis_defect + self._pair_defect * np.sqrt(
-                np.dot(self._right_rows, d.real**2 + d.imag**2)
-            )
-        if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:
-            raise ResolventSingularity(
-                f"resolvent solve at energy {energy!r} left relative residual {rel:.2e}; "
-                "the energy sits too close to a long-lived resonance"
-            )
-        s_r = np.eye(self._right.shape[1], dtype=complex) - 1j * ((self._left * d) @ self._right)
-        defect = np.linalg.norm(s_r.conj().T @ s_r - np.eye(s_r.shape[0]))
-        return ChannelSMatrix(
-            matrix=s_r,
-            channels=self.channels,
-            unitarity_defect=float(defect),
-            residual=float(rel),
-        )
-
-
-class SchurScattering:
-    """S(E) of one H at any number of energies from one Schur form of H.
-
-    h is the matrix of H and modes its decay_modes.  Every positive rate is
-    a channel, and decay_modes has already set each rate within eigh's
-    rounding of zero to exactly 0, so the channels are the resolved decay
-    modes only (138 of 410 on the shipped chains).  The diagonal of the
-    triangular factor, `eigenvalues`, is the complex spectrum of H
-    (frequency - i * halfwidth, in Schur order).
-    """
-
-    method = "schur"
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
-        from scipy.linalg import schur
-
-        self._t, z = schur(h, output="complex")
-        self.eigenvalues = np.diag(self._t)
+        hermitian = 0.5 * (h + h.conj().T)
+        self._levels, w = np.linalg.eigh(hermitian)
+        scale = np.linalg.norm(hermitian) or 1.0  # a zero H_R: the absolute residual
+        self.eigh_residual = float(np.linalg.norm(hermitian @ w - w * self._levels) / scale)
+        self.eigh_orthogonality = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])))
+        for name, value in (
+            ("relative residual", self.eigh_residual),
+            ("orthogonality defect", self.eigh_orthogonality),
+        ):
+            if not value <= _RESIDUAL_LIMIT:  # also NaN
+                raise ResolventSingularity(f"eigh of H's Hermitian part left {name} {value:.2e}")
         positive = modes.rates > 0
         self.channels = modes.vectors[:, positive]
-        self._y = z.conj().T @ (self.channels * np.sqrt(modes.rates[positive]))
-        self._y_norm = np.linalg.norm(self._y)
+        self._a = (self.channels * np.sqrt(modes.rates[positive])).conj().T @ w
+        self._a_dag = self._a.conj().T.copy()
 
     def s_matrix(self, energy: float) -> ChannelSMatrix:
-        from scipy.linalg import solve_triangular
-        from scipy.linalg.blas import ztrmm
-
-        a = -self._t
-        a[np.diag_indices_from(a)] += energy
-        try:
-            x = solve_triangular(a, self._y)
-        except np.linalg.LinAlgError as exc:
+        levels, r = self._levels, self._a.shape[0]
+        nearest = int(np.argmin(np.abs(energy - levels)))
+        with np.errstate(all="ignore"):
+            d = 1.0 / (energy - levels)
+            d[nearest] = 0.0
+            k = (self._a * d) @ self._a_dag
+            k = 0.5 * (k + k.conj().T)  # exactly Hermitian
+            # a finite Hermitian K' leaves every singular value of M' >= 1
+            inverse = np.linalg.inv(np.eye(r) + 0.5j * k)
+            a_near = self._a[:, nearest]
+            u = inverse @ a_near
+            pole = levels[nearest] - 0.5j * (a_near.conj() @ u)
+            inverse -= np.outer(u, (0.5j / (energy - pole)) * (a_near.conj() @ inverse))
+            s_r = 2.0 * inverse - np.eye(r)
+        if not np.all(np.isfinite(s_r)):
             raise ResolventSingularity(
-                f"energy {energy!r} renders the resolvent system singular: {exc}"
-            ) from exc
-        # Y - (E - T) X by the triangular product, half the flops of a dense
-        # a @ x; a non-finite x leaves a non-finite residual, which raises
-        residual = ztrmm(-1.0, a, x)
-        residual += self._y
-        rel = np.linalg.norm(residual) / self._y_norm
-        if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:
-            raise ResolventSingularity(
-                f"resolvent solve at energy {energy!r} left relative residual {rel:.2e}; "
-                "the energy sits too close to a long-lived resonance"
+                f"energy {energy!r} gives a non-finite S: a degenerate level of "
+                "H's Hermitian part sits on it, or K overflowed"
             )
-        s_r = np.eye(x.shape[1], dtype=complex) - 1j * (self._y.conj().T @ x)
-        defect = np.linalg.norm(s_r.conj().T @ s_r - np.eye(x.shape[1]))
+        defect = np.linalg.norm(s_r.conj().T @ s_r - np.eye(r))
         return ChannelSMatrix(
             matrix=s_r,
             channels=self.channels,
             unitarity_defect=float(defect),
-            residual=float(rel),
+            pole=complex(pole),
         )
-
-
-def select_scattering(
-    h: np.ndarray, modes: NormalModes
-) -> tuple[SpectralScattering | SchurScattering, float]:
-    """SpectralScattering when the eigenvectors of H are conditioned well enough, else Schur.
-
-    Returns the scattering and the 1-norm condition number of H's
-    eigenvectors that chose it.
-    """
-    eigen = eigensystem(h)
-    if eigen.condition <= SPECTRAL_CONDITION_LIMIT:
-        return SpectralScattering(h, modes, eigen), eigen.condition
-    return SchurScattering(h, modes), eigen.condition
 
 
 @dataclass
@@ -330,7 +265,6 @@ class SpectrumScan:
     forward_smoothed: np.ndarray
     backward_smoothed: np.ndarray
     unitarity_defect: np.ndarray
-    worst_residual: float
 
 
 def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -349,7 +283,7 @@ def _boxcar(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 def spectrum_scan(
-    scattering: SpectralScattering | SchurScattering,
+    scattering: KMatrixScattering,
     energies: np.ndarray,
     source_site: int,
     target_site: int,
@@ -357,8 +291,6 @@ def spectrum_scan(
 ) -> SpectrumScan:
     """Transmittance in both directions over an energy grid.
 
-    worst_residual is the largest relative resolvent residual of the scan
-    (see ChannelSMatrix.residual).
     smoothing_window is an energy width; it is converted to a boxcar over
     grid samples (None or 0 disables smoothing) and may not exceed the span
     of a grid of more than one energy.
@@ -372,13 +304,11 @@ def spectrum_scan(
     forward = np.empty_like(energies)
     backward = np.empty_like(energies)
     defect = np.empty_like(energies)
-    worst_residual = 0.0
     for i, energy in enumerate(energies):
         result = scattering.s_matrix(float(energy))
         forward[i] = result.transmittance(source_site, target_site)
         backward[i] = result.transmittance(target_site, source_site)
         defect[i] = result.unitarity_defect
-        worst_residual = max(worst_residual, result.residual)
     if smoothing_window and energies.size > 1:
         de = float(np.median(np.diff(energies)))
         samples = max(1, int(round(smoothing_window / de)))
@@ -391,7 +321,6 @@ def spectrum_scan(
         forward_smoothed=_boxcar(forward, samples),
         backward_smoothed=_boxcar(backward, samples),
         unitarity_defect=defect,
-        worst_residual=worst_residual,
     )
 
 

@@ -2,8 +2,8 @@
 
 scipy's import costs several times the physics of a short `dispersion` or
 `evolve` run, so no atomchain module imports it at module level.  `transmit`
-on a well-conditioned chain scans by eigendecomposition and loads none of
-it; only its Schur fallback loads scipy.linalg.  Nor does
+scans by eigh of H's Hermitian part on every chain and loads none of it,
+also on a chain whose eigenvectors of H are badly conditioned.  Nor does
 any command load a process pool module (`concurrent.*`, `multiprocessing*`)
 unless an ensemble runs on more than one worker.  The
 benchmark's set-up child takes `read_config, validate, build_couplings,
@@ -32,7 +32,7 @@ def scipy_modules():
 def pool_modules():
     return sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
 
-cfg, out = sys.argv[1], sys.argv[2]
+cfg, ill, out = sys.argv[1], sys.argv[2], sys.argv[3]
 vc = validate(read_config(cfg)[0])
 couplings = build_couplings(vc)
 assemble(vc, couplings)
@@ -48,13 +48,9 @@ for argv in (
 argv = ["transmit", "--n-e", "16", "--smoothing", "3"]  # a 3-sample boxcar
 code = cli.main(argv + ["--config", cfg, "--out", out + "/transmit"])
 report["transmit"] = [code, scipy_modules()]
-# no chain passes a limit of 0, so this run takes the Schur fallback
-import atomchain.scattering
-atomchain.scattering.SPECTRAL_CONDITION_LIMIT = 0.0
-code = cli.main(argv + ["--config", cfg, "--out", out + "/schur"])
-with open(out + "/schur/manifest.json") as fh:
-    method = json.load(fh)["extras"]["scattering"]
-report["schur"] = [code, method, scipy_modules()]
+# H's eigenvectors at 100 atoms, a = 1/4, pi/4: 1-norm condition number 2.6e4
+code = cli.main(argv + ["--config", ill, "--out", out + "/ill"])
+report["ill"] = [code, scipy_modules()]
 print(json.dumps(report))
 """
 
@@ -62,12 +58,14 @@ print(json.dumps(report))
 def test_cli_commands_without_factorization_load_no_scipy(tmp_path):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text("n_atoms = 24\nlattice_const = 0.125\nmixing_angle = 0.7853981633974483\n")
+    ill = tmp_path / "ill.cfg"
+    ill.write_text("n_atoms = 100\nlattice_const = 0.25\nmixing_angle = 0.7853981633974483\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(cfg), str(tmp_path)],
+        [sys.executable, "-c", PROBE, str(cfg), str(ill), str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
@@ -79,7 +77,4 @@ def test_cli_commands_without_factorization_load_no_scipy(tmp_path):
     for command in ("dispersion", "evolve", "disorder"):
         assert report[command] == [0, [], []], command
     assert report["transmit"] == [0, []]
-    code, method, loaded = report["schur"]
-    assert (code, method) == (0, "schur")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.ndimage")]
+    assert report["ill"] == [0, []]
