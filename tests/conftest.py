@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from atomchain.chain_model import ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
+from atomchain.spectrum import NormalModes
 
 settings.register_profile(
     "suite",
@@ -38,3 +39,30 @@ def rec24_couplings(rec24):
 @pytest.fixture(scope="session")
 def dir24_couplings(dir24):
     return build_couplings(dir24)
+
+
+def _basis(h, name):
+    # "schur": the Schur vectors of H, in which H is upper triangular;
+    # "spectral": the eigenvectors of H's Hermitian part, in which it is diagonal
+    if name == "schur":
+        from scipy.linalg import schur
+
+        return schur(h, output="complex")[1]
+    return np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+
+
+@pytest.fixture(scope="session")
+def change_basis():
+    """Return (h, modes, name) -> (q, h', modes'): the chain in the basis q.
+
+    h' = q^dag h q and S' = q^dag S q, so the channels q @ U' of a
+    ChannelSMatrix found in the new basis give back the site-basis S.
+    """
+
+    def rotate(h, modes, name):
+        q = _basis(h, name)
+        return q, q.conj().T @ h @ q, NormalModes(
+            rates=modes.rates, vectors=q.conj().T @ modes.vectors, floor=modes.floor
+        )
+
+    return rotate

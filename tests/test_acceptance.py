@@ -166,6 +166,35 @@ def test_scan_matches_lu_reference(chains):
     )
 
 
+@pytest.mark.parametrize("basis", ["schur", "spectral"])
+def test_schur_scan_matches_lu_reference(chains, basis, change_basis):
+    # the K-matrix scan run on both chains written in H's Schur basis (H
+    # upper triangular) or in the eigenbasis of H's Hermitian part, its
+    # channels turned back to sites, against the site-basis LU reference
+    energies = np.linspace(-0.75, 4.25, 64)
+    worst = 0.0
+    for tag in ("rec", "dir"):
+        q, h, modes = change_basis(chains[tag]["h"].matrix, chains[tag]["modes"], basis)
+        scattering = KMatrixScattering(h, modes)
+        channels = q @ scattering.channels
+        for energy in energies:
+            result = replace(scattering.s_matrix(float(energy)), channels=channels)
+            reference = s_matrix(float(energy), chains[tag]["h"].matrix, chains[tag]["half"])
+            for source, target in ((0, N_FULL - 1), (N_FULL - 1, 0)):
+                worst = max(
+                    worst,
+                    abs(
+                        result.transmittance(source, target)
+                        - transmittance(reference, source, target)
+                    ),
+                )
+    report(
+        f"K-matrix scan in the {basis} basis against the LU reference",
+        worst < 1e-11,
+        f"max |dT| = {worst:.3e} over 64 energies on both chains (limit 1e-11)",
+    )
+
+
 def test_decay_channel_representations_agree(chains):
     normal_worst = 0.0
     for tag in ("rec", "dir"):
