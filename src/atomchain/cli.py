@@ -383,6 +383,8 @@ def cmd_disorder(args, vc, seed):
     extras = {"sqrt_w": sqrt_w, "paired": not args.single}
     extras.update({"transparency_window" + s: transparency_window(c) for s, c in configs.items()})
     extras.update({"failures" + s: r.failures for s, r in results.items()})
+    extras.update({"taylor_steps" + s: r.taylor_steps for s, r in results.items()})
+    extras.update({"spectral_cells" + s: r.spectral_cells for s, r in results.items()})
     checks = []
     if 0.0 in sqrt_w:
         # peak-to-peak, not std: the mean of n identical floats rounds at the

@@ -11,7 +11,8 @@ to a dense scaling-and-squaring matrix exponential per snapshot
 TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
 33, 488, 2011, Algorithm 3.2) and applies H through its polarization
-blocks, so its cost grows with t ||H||_1 instead of with N^3.
+blocks, so its cost grows with t times a 2-norm bound on H - mu I, read
+off those blocks, instead of with N^3.
 taylor_pays is the one rule that picks between them: the Taylor series
 runs while the steps a job needs in all stay within the measured
 break-even of N^2 / 200.
@@ -44,11 +45,17 @@ from .hamiltonian import NonHermitianHamiltonian
 
 _CONDITION_LIMIT = 1e12
 # Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1: a step
-# with ||t A||_1 / s <= theta_55 = 9.9 meets a 2^-53 backward error in at
-# most 55 Taylor terms.
+# with ||t A|| / s <= theta_55 = 9.9 meets a 2^-53 backward error in at
+# most 55 Taylor terms (the norm is any submultiplicative one; see
+# TaylorPropagator).
 _TAYLOR_DEGREE = 55
 _THETA = 9.9
 _TOLERANCE = 2.0**-53
+# relative margin on the computed 2-norm bound: LAPACK's largest singular
+# value of K and the 2x2 closed form are accurate to a small multiple of
+# N eps (about 5e-14 at N = 205), so 1e-10 covers chains far longer than
+# any studied here while moving no step count of the shipped chains
+_NORM_PAD = 1e-10
 _STANDOFF = 20.0  # wavelengths from each chain end to its edge probe
 
 
@@ -144,15 +151,28 @@ class TaylorPropagator:
 
     On the site-major (site, polarization) index H = K (x) I_2 + B: K couples
     equal polarizations of different sites (shift - (i/2) decay with its
-    diagonal zeroed), and B holds one 2x2 block per site, the on-site
+    diagonal zeroed), and B holds one 2x2 block B_n per site, the on-site
     energies on its diagonal and the Raman coupling off it.  One product
     with H is then one real (2N x N) @ (N x 4) product with [Re K; Im K]
     plus O(N) elementwise work.  from_hamiltonian reads these pieces off a
-    disorder-free H once per chain; with_onsite adds a disorder draw in O(N).
+    disorder-free H once per chain, with ||K||_2; with_onsite adds a
+    disorder draw in O(N).
+
+    Steps are sized by a 2-norm bound that follows the same split:
+    ||H - mu I||_2 <= ||K||_2 + max_n ||B_n - mu I||_2, the triangle
+    inequality, with ||K (x) I_2||_2 = ||K||_2 and the 2-norm of a block
+    diagonal the largest of its blocks.  The 2x2 norms cost O(N) per draw.
+    Al-Mohy & Higham's theta_55 holds in this norm unchanged: the backward
+    error of s steps of the degree-m series is a power series in s^-1 t A
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, Thm 4.2),
+    and bounding it by the scalar series with absolute coefficients needs
+    only a submultiplicative norm.  They size steps by the 1-norm because it
+    is cheap to estimate; here the block bound is cheaper still and, on the
+    shipped chains, under half the 1-norm (4.9 against 11.3-11.7).
     """
 
     stacked: np.ndarray      # (2N, N) real: [Re K; Im K]
-    column_sums: np.ndarray  # (N,) Sum_n |K_nm|
+    coupling_norm: float     # ||K||_2
     diagonal: np.ndarray     # (N, 2) complex: H_(n s),(n s)
     raman: np.ndarray        # (N, 2) complex: H_(n +),(n -) and H_(n -),(n +)
 
@@ -164,43 +184,51 @@ class TaylorPropagator:
         np.fill_diagonal(k, 0.0)
         return cls(
             stacked=np.vstack([k.real, k.imag]),
-            column_sums=np.abs(k).sum(axis=0),
+            coupling_norm=float(np.linalg.norm(k, 2)),
             diagonal=m.diagonal().reshape(n, 2).copy(),
             raman=np.stack([m.diagonal(1)[0::2], m.diagonal(-1)[0::2]], axis=1),
         )
 
     def with_onsite(self, energies: np.ndarray) -> TaylorPropagator:
         """The same chain with energies[n] added to both polarizations of site n."""
-        if energies.shape != self.column_sums.shape:
-            raise ValueError(
-                f"disorder has {energies.shape[0]} sites, config has {self.column_sums.size}"
-            )
+        n = self.diagonal.shape[0]
+        if energies.shape != (n,):
+            raise ValueError(f"disorder has {energies.shape[0]} sites, config has {n}")
         return replace(self, diagonal=self.diagonal + energies[:, None])
 
     def _shift(self) -> tuple[complex, np.ndarray, float]:
-        """mu = trace(H) / 2N, the diagonal of H - mu I, and ||H - mu I||_1."""
+        """mu = trace(H) / 2N, the diagonal of H - mu I, and the bound on ||H - mu I||_2."""
         mu = self.diagonal.mean()
         shifted = self.diagonal - mu
-        # column (m, s) holds K's column m, the diagonal entry and the Raman
-        # entry of the other polarization's row
-        columns = self.column_sums[:, None] + np.abs(shifted) + np.abs(self.raman[:, ::-1])
-        return mu, shifted, float(np.max(columns))
+        # B_n = [[a, b], [c, d]]: its largest squared singular value is the
+        # larger eigenvalue of the Hermitian B_n B_n^dag = [[p, q], [q*, r]],
+        # (p + r) / 2 + sqrt(((p - r) / 2)^2 + |q|^2), the closed form
+        # (||B||_F^2 + sqrt(||B||_F^4 - 4 |det B|^2)) / 2 with its radicand
+        # written as a sum of squares, so no cancellation can make it negative
+        upper = np.abs(shifted[:, 0]) ** 2 + np.abs(self.raman[:, 0]) ** 2
+        lower = np.abs(self.raman[:, 1]) ** 2 + np.abs(shifted[:, 1]) ** 2
+        cross = shifted[:, 0] * self.raman[:, 1].conj() + self.raman[:, 0] * shifted[:, 1].conj()
+        radicand = (0.5 * (upper - lower)) ** 2 + np.abs(cross) ** 2
+        squares = 0.5 * (upper + lower) + np.sqrt(radicand)
+        bound = (self.coupling_norm + np.sqrt(squares.max())) * (1.0 + _NORM_PAD)
+        return mu, shifted, float(bound)
 
     def steps(self, t: float) -> int:
-        """Number of Taylor steps s = ceil(t ||H - mu I||_1 / theta_55)."""
+        """Number of Taylor steps s = ceil(t bound / theta_55), bound >= ||H - mu I||_2."""
         return int(np.ceil(t * self._shift()[2] / _THETA))
 
     def _product(self, x: np.ndarray, shifted: np.ndarray) -> np.ndarray:
         """(H - mu I) x for x of shape (N, 2)."""
         n = x.shape[0]
         p = self.stacked @ x.view(np.float64)
-        y = p[:n].view(complex) + 1.0j * p[n:].view(complex)
+        y = p[:n].view(complex)
+        y += 1.0j * p[n:].view(complex)
         y += shifted * x
         y += self.raman * x[:, ::-1]
         return y
 
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
-        """Algorithm 3.2 of Al-Mohy & Higham with m = 55 and the exact 1-norm.
+        """Algorithm 3.2 of Al-Mohy & Higham with m = 55 and the block 2-norm bound.
 
         Every choice depends only on H, amps and t, so repeated calls agree
         bit for bit; t = 0 returns a copy of amps.
@@ -215,12 +243,13 @@ class TaylorPropagator:
         eta = np.exp(-1.0j * mu * t / s)
         for _ in range(s):
             term = f
-            c1 = np.max(np.abs(term))
+            c1 = np.abs(term).max()
             for j in range(1, _TAYLOR_DEGREE + 1):
-                term = (-1.0j * t / (s * j)) * self._product(term, shifted)
-                c2 = np.max(np.abs(term))
+                term = self._product(term, shifted)
+                term *= -1.0j * t / (s * j)
+                c2 = np.abs(term).max()
                 f += term
-                if c1 + c2 <= _TOLERANCE * np.max(np.abs(f)):
+                if c1 + c2 <= _TOLERANCE * np.abs(f).max():
                     break
                 c1 = c2
             f *= eta
@@ -233,10 +262,14 @@ def taylor_pays(steps: int, n_atoms: int) -> bool:
     Propagator's eig + inv costs the same at every t; the Taylor series
     costs s steps of up to 55 block products.  Taylor runs while
     s <= N^2 / 200, which tracks the measured break-even step count of one
-    ensemble cell (2-core VM, 1 BLAS thread, W = 1, median of 3 runs,
-    Propagator reading its condition number off the inverse): 1.37, 1.71,
-    1.07 and 0.81 N^2 / 200 at N = 16, 50, 205 and 300 (s = 224 at
-    N = 205), with single runs spread over 0.75-1.79 N^2 / 200.
+    ensemble cell (2-core VM, 1 BLAS thread, W = 1, median of 5 runs,
+    Propagator reading its condition number off the inverse, steps sized
+    by the 2-norm bound): 1.33, 1.83, 0.87 and 0.71 N^2 / 200 at N = 16,
+    50, 205 and 300 (s = 183 at N = 205), with single runs spread over
+    0.69-1.89 N^2 / 200.  The same runs put the break-even of 1-norm steps,
+    each covering 2.4 times less time with fewer products, at 1.51, 2.17,
+    1.19 and 1.00.  The break-even falls with N faster than N^2 / 200
+    does, so no one constant fits all four better: N^2 / 200 stays.
     """
     return steps * 200 <= n_atoms**2
 

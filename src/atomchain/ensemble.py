@@ -28,10 +28,15 @@ Every cell starts from the same spin wave, launched at the default site of
 dynamics.spin_wave.  A cell propagates it with dynamics.TaylorPropagator,
 built once per configuration from the disorder-free H (the couplings, which
 depend on the geometry alone, are built once for all configurations), with
-the cell's on-site energies added in O(N); no cell factorizes H.  Cells
-whose Taylor series would need more than N^2 / 200 steps (long observation
-times; the rule is dynamics.taylor_pays) fall back to the spectral
+the cell's on-site energies added in O(N); no cell factorizes H.  A cell's
+Taylor steps grow with the observation time times a bound on the 2-norm of
+its H, which the disorder draw raises (7 steps at W = 0 and 9 at W = 1 on
+the shipped chains at the default time).  Cells whose Taylor series would
+need more than N^2 / 200 steps (long observation times or strong disorder;
+the rule is dynamics.taylor_pays) fall back to the spectral
 dynamics.Propagator of the assembled H, whose cost does not grow with t.
+Each result records the least and the most Taylor steps over its cells
+and how many cells took the spectral path.
 """
 
 from __future__ import annotations
@@ -98,6 +103,8 @@ class EnsembleResult:
     scalars: dict[str, np.ndarray]          # (n_w, n_realizations)
     aggregates: dict[str, np.ndarray]       # (n_w, 3): mean, sem, n
     failures: list[tuple[int, int, str]]    # (w_index, realization, error)
+    taylor_steps: tuple[int, int] | None    # least and most steps of the Taylor cells
+    spectral_cells: int                     # cells that took the spectral Propagator
 
 
 def _cell_scalars(vc: ChainConfig, state) -> dict[str, float]:
@@ -122,13 +129,17 @@ class _ConfigRunner:
         self.state0 = spin_wave(self.vc)
         self.spec = spec
 
-    def run_cell(self, disorder: DisorderRealization | None) -> dict[str, float]:
+    def run_cell(
+        self, disorder: DisorderRealization | None
+    ) -> tuple[int | None, dict[str, float]]:
+        """(Taylor steps taken, None on the spectral path; the cell's scalars)."""
         t = self.spec.observation_time
         prop = self.blocks if disorder is None else self.blocks.with_onsite(disorder.energies)
-        if not taylor_pays(prop.steps(t), self.vc.n_atoms):
-            prop = Propagator(assemble(self.vc, self.couplings, disorder))
+        steps = prop.steps(t)
+        if not taylor_pays(steps, self.vc.n_atoms):
+            prop, steps = Propagator(assemble(self.vc, self.couplings, disorder)), None
         state = propagate_to(self.state0, prop, t)
-        return _cell_scalars(self.vc, state)
+        return steps, _cell_scalars(self.vc, state)
 
 
 def _aggregate(values: np.ndarray) -> np.ndarray:
@@ -162,9 +173,10 @@ def _init_worker(runners: list[_ConfigRunner]) -> None:
 
 
 def _run_cell(cell, runners: list[_ConfigRunner] | None = None):
-    """(cell, scalars, None) or (cell, None, error) for one (config, w_index, slots) cell.
+    """(cell, steps, scalars, None) or (cell, None, None, error) for one cell.
 
-    Pool workers pass no runners and use the ones they inherited at fork.
+    A cell is (config, w_index, slots) and steps are run_cell's.  Pool
+    workers pass no runners and use the ones they inherited at fork.
     """
     runners = _worker_runners if runners is None else runners
     ci, wi, slots = cell
@@ -179,13 +191,13 @@ def _run_cell(cell, runners: list[_ConfigRunner] | None = None):
                 w,
                 runner.vc.n_atoms,
             )
-        payload = runner.run_cell(disorder)
+        steps, payload = runner.run_cell(disorder)
     except Exception as exc:  # recorded, not raised: partial ensembles are useful
-        return cell, None, f"{type(exc).__name__}: {exc}"
+        return cell, None, None, f"{type(exc).__name__}: {exc}"
     bad = [name for name, val in payload.items() if not np.isfinite(val)]
     if bad:
-        return cell, None, f"non-finite {', '.join(bad)}"
-    return cell, payload, None
+        return cell, None, None, f"non-finite {', '.join(bad)}"
+    return cell, steps, payload, None
 
 
 def _run_in_processes(runners: list[_ConfigRunner], cells: list, workers: int) -> list:
@@ -242,6 +254,8 @@ def run_ensemble(spec: EnsembleSpec) -> list[EnsembleResult]:
         {name: np.full((n_w, n_r), np.nan) for name in SCALAR_OBSERVABLES} for _ in runners
     ]
     failures: list[list[tuple[int, int, str]]] = [[] for _ in runners]
+    # Taylor step counts of each config's cells; None marks a spectral cell
+    paths: list[list[int | None]] = [[] for _ in runners]
 
     # a cell is (config index, w_index, the realization slots it fills), config-major
     w_cells = []
@@ -258,10 +272,11 @@ def run_ensemble(spec: EnsembleSpec) -> list[EnsembleResult]:
     else:
         outcomes = _run_in_processes(runners, cells, workers)
 
-    for (ci, wi, slots), payload, err in outcomes:
+    for (ci, wi, slots), steps, payload, err in outcomes:
         if err is not None:
             failures[ci].extend((wi, ri, err) for ri in slots)
             continue
+        paths[ci].append(steps)
         for name, val in payload.items():
             scalars[ci][name][wi, slots] = val
 
@@ -273,14 +288,19 @@ def run_ensemble(spec: EnsembleSpec) -> list[EnsembleResult]:
                 f"first: {failed[0]}"
             )
 
-    return [
-        EnsembleResult(
-            scalars=values,
-            aggregates={name: _aggregate(vals) for name, vals in values.items()},
-            failures=failed,
+    results = []
+    for values, failed, steps in zip(scalars, failures, paths):
+        taylor = [s for s in steps if s is not None]
+        results.append(
+            EnsembleResult(
+                scalars=values,
+                aggregates={name: _aggregate(vals) for name, vals in values.items()},
+                failures=failed,
+                taylor_steps=(min(taylor), max(taylor)) if taylor else None,
+                spectral_cells=len(steps) - len(taylor),
+            )
         )
-        for values, failed in zip(scalars, failures)
-    ]
+    return results
 
 
 def paired_difference(a: EnsembleResult, b: EnsembleResult) -> dict[str, np.ndarray]:

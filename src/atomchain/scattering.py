@@ -54,16 +54,21 @@ of H that the split level becomes, and the transmit manifest names it as
 the pole nearest the worst-unitarity energy.  K' costs r^2 2N flops per
 energy and the solve about r^3.
 
-Guard.  eigh's own accuracy is checked once per scan: the relative
-residual ||H_R W - W eps||_F / ||H_R||_F and the orthogonality defect
-||W^dag W - 1||_F both must be finite and at most 1e-6, or the
-constructor raises ResolventSingularity.  A non-finite S_r at any energy
-(a degenerate level exactly at E, or overflow) raises it too, with every
-floating-point warning of that arithmetic silenced so only the exception
-speaks.  A failure raises; there is no fallback.  Because S_r is unitary by
-construction, the per-energy unitarity defect measures the rounding of the
-Cayley solve, not the accuracy of the resolvent; the eigh residuals above
-and the tests' LU reference hold that.  t_matrix and s_matrix keep the
+Guard.  The constructor first checks that the modes describe H's decay
+part: ||(H - H^dag)/2 + (i/2) Ybar Ybar^dag||_F / ||(H - H^dag)/2||_F
+(1.8e-15 on the shipped chains) must be at most 1e-6, or it raises
+ValueError; the Cayley form is unitary for any Hermitian K, so no later
+check could see modes from another chain.  eigh's own accuracy is then
+checked once per scan: the relative residual ||H_R W - W eps||_F /
+||H_R||_F and the orthogonality defect ||W^dag W - 1||_F both must be
+finite and at most 1e-6, or the constructor raises ResolventSingularity.
+A non-finite S_r at any energy (a degenerate level exactly at E, or
+overflow) raises it too, with every floating-point warning of that
+arithmetic silenced so only the exception speaks.  A failure raises;
+there is no fallback.  Because S_r is unitary by construction, the
+per-energy unitarity defect measures the rounding of the Cayley solve,
+not the accuracy of the resolvent; the eigh residuals above and the
+tests' LU reference hold that.  t_matrix and s_matrix keep the
 direct route, one LU factorization of E - H per energy with one
 refinement step, as the reference that verify, the benchmark and the
 tests compare against.
@@ -206,12 +211,24 @@ class KMatrixScattering:
     h is the matrix of H and modes the decay_modes of its decay part; the
     channels are the positive-rate modes (138 of 410 on the shipped
     chains), and H's anti-Hermitian part is read as -(i/2) Ybar Ybar^dag
-    over them.  eigh_residual and eigh_orthogonality are the two accuracy
-    figures of eigh(H_R) that the constructor guards (see the module
-    docstring).
+    over them: modes that do not describe it raise ValueError.
+    eigh_residual and eigh_orthogonality are the two accuracy figures of
+    eigh(H_R) that the constructor guards (see the module docstring).
     """
 
     def __init__(self, h: np.ndarray, modes: NormalModes):
+        positive = modes.rates > 0
+        self.channels = modes.vectors[:, positive]
+        ybar = self.channels * np.sqrt(modes.rates[positive])
+        # the scan reads H's anti-Hermitian part off modes, so they must describe it
+        anti = 0.5 * (h - h.conj().T)
+        mismatch = np.linalg.norm(anti + 0.5j * (ybar @ ybar.conj().T))
+        mismatch /= np.linalg.norm(anti) or 1.0  # a Hermitian h: the absolute mismatch
+        if not mismatch <= _RESIDUAL_LIMIT:
+            raise ValueError(
+                f"modes do not describe h's decay part: ||(h - h^dag)/2 + (i/2) Ybar Ybar^dag||_F "
+                f"is {mismatch:.2e} of ||(h - h^dag)/2||_F"
+            )
         hermitian = 0.5 * (h + h.conj().T)
         self._levels, w = np.linalg.eigh(hermitian)
         scale = np.linalg.norm(hermitian) or 1.0  # a zero H_R: the absolute residual
@@ -223,9 +240,7 @@ class KMatrixScattering:
         ):
             if not value <= _RESIDUAL_LIMIT:  # also NaN
                 raise ResolventSingularity(f"eigh of H's Hermitian part left {name} {value:.2e}")
-        positive = modes.rates > 0
-        self.channels = modes.vectors[:, positive]
-        self._a = (self.channels * np.sqrt(modes.rates[positive])).conj().T @ w
+        self._a = ybar.conj().T @ w
         self._a_dag = self._a.conj().T.copy()
 
     def s_matrix(self, energy: float) -> ChannelSMatrix:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from atomchain.chain_model import ChainConfig, validate
 from atomchain.collective_couplings import build_couplings
+from atomchain.dynamics import TaylorPropagator
 from atomchain.spectrum import NormalModes
 
 settings.register_profile(
@@ -66,3 +67,26 @@ def change_basis():
         )
 
     return rotate
+
+
+class OneNormTaylor(TaylorPropagator):
+    """TaylorPropagator with its steps sized by the exact 1-norm of H - mu I.
+
+    The step rule TaylorPropagator had before its 2-norm bound, kept as the
+    oracle that the bound moves the results only at rounding: the series,
+    the early stop and the block product are the same code.
+    """
+
+    def _shift(self):
+        mu, shifted, _ = super()._shift()
+        n = shifted.shape[0]
+        k = self.stacked[:n] + 1.0j * self.stacked[n:]
+        # column (m, s) holds K's column m, the diagonal entry and the Raman
+        # entry of the other polarization's row
+        columns = np.abs(k).sum(axis=0)[:, None] + np.abs(shifted) + np.abs(self.raman[:, ::-1])
+        return mu, shifted, float(np.max(columns))
+
+
+@pytest.fixture(scope="session")
+def one_norm_taylor():
+    return OneNormTaylor

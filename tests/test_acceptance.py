@@ -146,19 +146,31 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains):
     )
 
 
-def test_scan_matches_lu_reference(chains):
-    energies = np.linspace(-0.75, 4.25, 64)
-    worst = 0.0
+LU_ENERGIES = np.linspace(-0.75, 4.25, 64)
+
+
+@pytest.fixture(scope="module")
+def lu_reference(chains):
+    """(T_fwd, T_bwd) end to end on each chain at LU_ENERGIES, from the LU S matrix."""
+    out = {}
     for tag in ("rec", "dir"):
         h, half = chains[tag]["h"].matrix, chains[tag]["half"]
-        scan = spectrum_scan(chains[tag]["scattering"], energies, 0, N_FULL - 1)
-        for i, energy in enumerate(energies):
-            reference = s_matrix(float(energy), h, half)
-            worst = max(
-                worst,
-                abs(scan.forward[i] - transmittance(reference, 0, N_FULL - 1)),
-                abs(scan.backward[i] - transmittance(reference, N_FULL - 1, 0)),
-            )
+        references = [s_matrix(float(energy), h, half) for energy in LU_ENERGIES]
+        out[tag] = (
+            np.array([transmittance(r, 0, N_FULL - 1) for r in references]),
+            np.array([transmittance(r, N_FULL - 1, 0) for r in references]),
+        )
+    return out
+
+
+def test_scan_matches_lu_reference(chains, lu_reference):
+    worst = 0.0
+    for tag in ("rec", "dir"):
+        scan = spectrum_scan(chains[tag]["scattering"], LU_ENERGIES, 0, N_FULL - 1)
+        forward, backward = lu_reference[tag]
+        worst = max(
+            worst, np.abs(scan.forward - forward).max(), np.abs(scan.backward - backward).max()
+        )
     report(
         "K-matrix scan against the LU reference",
         worst < 1e-11,
@@ -167,27 +179,19 @@ def test_scan_matches_lu_reference(chains):
 
 
 @pytest.mark.parametrize("basis", ["schur", "spectral"])
-def test_schur_scan_matches_lu_reference(chains, basis, change_basis):
+def test_schur_scan_matches_lu_reference(chains, basis, change_basis, lu_reference):
     # the K-matrix scan run on both chains written in H's Schur basis (H
     # upper triangular) or in the eigenbasis of H's Hermitian part, its
     # channels turned back to sites, against the site-basis LU reference
-    energies = np.linspace(-0.75, 4.25, 64)
     worst = 0.0
     for tag in ("rec", "dir"):
         q, h, modes = change_basis(chains[tag]["h"].matrix, chains[tag]["modes"], basis)
         scattering = KMatrixScattering(h, modes)
         channels = q @ scattering.channels
-        for energy in energies:
+        for energy, *reference in zip(LU_ENERGIES, *lu_reference[tag]):
             result = replace(scattering.s_matrix(float(energy)), channels=channels)
-            reference = s_matrix(float(energy), chains[tag]["h"].matrix, chains[tag]["half"])
-            for source, target in ((0, N_FULL - 1), (N_FULL - 1, 0)):
-                worst = max(
-                    worst,
-                    abs(
-                        result.transmittance(source, target)
-                        - transmittance(reference, source, target)
-                    ),
-                )
+            for (source, target), want in zip(((0, N_FULL - 1), (N_FULL - 1, 0)), reference):
+                worst = max(worst, abs(result.transmittance(source, target) - want))
     report(
         f"K-matrix scan in the {basis} basis against the LU reference",
         worst < 1e-11,

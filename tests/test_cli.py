@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomchain import cli
+from atomchain import cli, ensemble
 from atomchain.chain_model import read_config, validate
 from atomchain.cli import CheckResult, main
 from atomchain.collective_couplings import build_couplings
@@ -287,6 +287,22 @@ def test_chained_taylor_evolve_matches_the_propagator_path(tmp_path, monkeypatch
         assert np.abs(got[:, keys:] - want[:, keys:]).max() <= 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("chain", ["directional", "reciprocal"])
+def test_evolve_tables_match_the_one_norm_path(tmp_path, monkeypatch, chain, one_norm_taylor):
+    # the same Taylor evolve with steps sized by the exact 1-norm of H - mu I,
+    # about twice as many: every table agrees to rounding
+    cfg = CONFIGS / f"{chain}.cfg"
+    got = evolve_tables(tmp_path / "bound", monkeypatch, cfg, True)
+    monkeypatch.setattr(cli, "TaylorPropagator", one_norm_taylor)
+    want = evolve_tables(tmp_path / "one_norm", monkeypatch, cfg, True)
+    assert got.keys() == want.keys()
+    for name, table in want.items():
+        keys = EVOLVE_KEYS[name.split("_")[0].removesuffix(".csv")]
+        assert np.array_equal(got[name][:, :keys], table[:, :keys]), name
+        scale = np.abs(table[:, keys:]).max()
+        assert np.abs(got[name][:, keys:] - table[:, keys:]).max() <= 1e-12 * scale, name
+
+
 def read_strict_manifest(outdir):
     """The manifest parsed as strict JSON, which has no NaN or Infinity."""
 
@@ -410,6 +426,25 @@ def test_disorder_single_mode(tmp_path):
     assert (out / "survival.csv").exists()
     assert not (out / "paired_diff.csv").exists()
     assert manifest["extras"]["transparency_window"] > 0
+
+
+def test_disorder_manifest_names_each_cells_propagator(tmp_path, monkeypatch):
+    # N = 24 allows N^2 / 200 = 2.88 Taylor steps: at t = 3 the clean chain
+    # (2-norm bound 4.9) takes 2, and W = 25 (draws up to 8.7) pushes every
+    # cell past the limit onto the spectral Propagator
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
+    built = []
+    propagator = ensemble.Propagator
+    monkeypatch.setattr(ensemble, "Propagator", lambda h: built.append(h) or propagator(h))
+    out = tmp_path / "out"
+    rc = main(["disorder", "--config", cfg, "--out", str(out), "--sqrt-w", "0,5",
+               "--realizations", "2", "--time", "3.0", "--threads", "1"])
+    assert rc == 0
+    extras = read_manifest(out)["extras"]
+    for suffix in ("_base", "_twin"):
+        assert extras["taylor_steps" + suffix] == [2, 2]
+        assert extras["spectral_cells" + suffix] == 2
+    assert len(built) == 4
 
 
 def is_draw(runner, disorder, w_index, realization):

@@ -87,7 +87,7 @@ def test_zero_disorder_column_degenerate():
         assert result.aggregates[name][0, 0] == values[0, 0], name
     # and matches a direct single run of the same machinery
     runner = config_runner(small_spec())
-    scalars = runner.run_cell(None)
+    _, scalars = runner.run_cell(None)
     assert result.scalars["survival"][0, 0] == scalars["survival"]
 
 
@@ -183,10 +183,10 @@ def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
     run_cell = _ConfigRunner.run_cell
 
     def blank(self, disorder):
-        scalars = run_cell(self, disorder)
+        steps, scalars = run_cell(self, disorder)
         if is_draw(self, disorder, 1, 3):
             scalars["realspace_ipr"] = scalars["realspace_participation"] = np.nan
-        return scalars
+        return steps, scalars
 
     monkeypatch.setattr(_ConfigRunner, "run_cell", blank)
     [result] = run_ensemble(spec)
@@ -351,7 +351,7 @@ def test_cell_bits_do_not_depend_on_the_global_rng():
     for global_seed in (0, 12345):
         np.random.seed(global_seed)
         before = np.random.get_state()
-        runs.append(runner.run_cell(draw))
+        runs.append(runner.run_cell(draw)[1])
         after = np.random.get_state()
         assert after[2] == before[2] and np.array_equal(after[1], before[1])
     assert runs[0] == runs[1]
@@ -371,7 +371,7 @@ def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
     for t, on_spectral_path in cases:
         spectral.clear()
         runner = config_runner(small_spec(configs=(vc,), observation_time=t))
-        got = runner.run_cell(draw)
+        _, got = runner.run_cell(draw)
         assert bool(spectral) == on_spectral_path, t
         # the other path, at the same time and through the same observables
         if on_spectral_path:
@@ -399,3 +399,23 @@ def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
         config_runner(small_spec(configs=(vc,), observation_time=t)).run_cell(None)
         # run_cell's inline rule before taylor_pays: spectral when s * 200 > N^2
         assert bool(spectral) == (steps * 200 > n_atoms**2) == (not taylor_pays(steps, n_atoms))
+
+
+def test_cells_match_the_one_norm_path(monkeypatch, one_norm_taylor):
+    # the disorder tables of a paired run on the shipped chain, against the
+    # same cells with steps sized by the exact 1-norm of H - mu I (16-18 steps
+    # against 7-9): every observable agrees to rounding
+    vc, seed = read_config(SHIPPED)
+    spec = EnsembleSpec(
+        configs=(vc, replace(vc, mixing_angle=0.0)),
+        w_values=(0.0, 0.15, 1.0),
+        n_realizations=2,
+        master_seed=seed,
+    )
+    results = run_ensemble(spec)
+    monkeypatch.setattr(ensemble, "TaylorPropagator", one_norm_taylor)
+    for got, want in zip(results, run_ensemble(spec)):
+        assert got.spectral_cells == want.spectral_cells == 0
+        assert got.taylor_steps[1] < want.taylor_steps[0]
+        for name, values in want.scalars.items():
+            assert np.allclose(got.scalars[name], values, rtol=1e-12, atol=0.0), name

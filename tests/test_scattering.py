@@ -104,30 +104,41 @@ def test_t_matrix_matches_spectral_resolvent():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_t_matrix_residual_guard():
+def test_t_matrix_residual_guard(dir24, dir24_couplings):
     # singular linear system: energy exactly on a lossless eigenvalue
     h = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ResolventSingularity):
         t_matrix(0.0, h, np.eye(2, dtype=complex))
+    # unit-rate modes describe the decay part -(i/2) 1
     modes = NormalModes(rates=np.ones(2), vectors=np.eye(2))
     tiny = np.diag([1e-310, 1.0]).astype(complex)
+    # modes that do not describe h's decay part: a Hermitian h, or the
+    # modes of a chain with another spacing
+    with pytest.raises(ValueError, match="modes do not describe h's decay part"):
+        KMatrixScattering(tiny, modes)
+    other = validate(ChainConfig(n_atoms=dir24.n_atoms, lattice_const=0.2, mixing_angle=np.pi / 4))
+    with pytest.raises(ValueError, match=r"decay part: .* is \d\.\d\de-0[1-3] of"):
+        KMatrixScattering(
+            assemble(dir24, dir24_couplings).matrix, decay_modes(build_couplings(other))
+        )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         # a doubly degenerate level of H_R exactly at E: one is split off,
         # the other's 1 / (E - eps) is infinite, and the scan says so
         with pytest.raises(ResolventSingularity):
-            KMatrixScattering(h, modes).s_matrix(0.0)
+            KMatrixScattering(h - 0.5j * np.eye(2), modes).s_matrix(0.0)
         # a subnormal level at E: the split never divides by E - eps_j, and
         # S is the single-level phase (E - eps - i/2) / (E - eps + i/2) = -1
-        result = KMatrixScattering(tiny, modes).s_matrix(0.0)
+        result = KMatrixScattering(tiny - 0.5j * np.eye(2), modes).s_matrix(0.0)
         assert np.all(np.isfinite(result.matrix))
         assert result.unitarity_defect < 1e-15
         assert result.matrix[0, 0] == pytest.approx(-1.0, abs=1e-15)
         assert result.pole == pytest.approx(-0.5j, abs=1e-15)
-        # a nilpotent H has an exactly singular eigenvector matrix; its
-        # Hermitian part does not, and scatters unitarily
+        # H at an exceptional point, defective with the double eigenvalue
+        # -i/4: its Hermitian part is not, and scatters unitarily
+        exceptional = np.array([[-0.5j, 0.25], [0.25, 0.0]])
         result = KMatrixScattering(
-            np.eye(3, k=1, dtype=complex), NormalModes(np.ones(3), np.eye(3))
+            exceptional, NormalModes(np.array([0.0, 1.0]), np.eye(2)[:, ::-1])
         ).s_matrix(0.0)
         assert result.unitarity_defect < 1e-14
 
