@@ -8,8 +8,9 @@ for realspace_ipr means the driven chain's wave packet spreads out over
 more sites than the undriven one under the same disorder.
 
 The full run (205 atoms, 50 realizations, 202 cells over both configs, in
-one pool) took 5.1-6.6 s at --threads 1 and 3.3-3.4 s at --threads 2 on a
-shared 2-core VM, three runs each; pass --quick for a small smoke version.
+one pool) took 2.8-3.1 s at --threads 1 and 2.1-2.3 s at --threads 2 on a
+shared 2-core Intel Xeon VM, three runs each; pass --quick for a small
+smoke version.
 """
 
 import argparse

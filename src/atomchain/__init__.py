@@ -1,32 +1,8 @@
 """Photon-mediated excitation transport on a driven two-branch atomic chain.
 
-Submodules load lazily so that the command line entry point can pin BLAS
-thread counts before numpy is first imported.
+Importing the package imports none of its submodules, so the command line
+entry point can pin BLAS thread counts before numpy is first imported;
+import each submodule by name (`from atomchain import cli`).
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "chain_model",
-    "collective_couplings",
-    "hamiltonian",
-    "spectrum",
-    "scattering",
-    "dynamics",
-    "ensemble",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -25,10 +25,12 @@ Observables per realization, evaluated on the state at observation_time:
     realspace_participation its reciprocal: occupied sites
 
 Every cell starts from the same spin wave, launched at the default site of
-dynamics.spin_wave.  A cell propagates it with dynamics.TaylorPropagator,
-built once per configuration from the disorder-free H (the couplings, which
-depend on the geometry alone, are built once for all configurations), with
-the cell's on-site energies added in O(N); no cell factorizes H.  A cell's
+dynamics.spin_wave, and adds one disorder draw to H; the W = 0 cell is a
+zero draw (exact +0.0 energies, which change no value) like any other.  A
+cell propagates it with dynamics.TaylorPropagator, built once per
+configuration from the disorder-free H (the couplings, which depend on the
+geometry alone, are built once for all configurations), with the cell's
+on-site energies added in O(N); no cell factorizes H.  A cell's
 Taylor steps grow with the observation time times a bound on the 2-norm of
 its H, which the disorder draw raises (7 steps at W = 0 and 9 at W = 1 on
 the shipped chains at the default time).  Cells whose Taylor series would
@@ -129,12 +131,10 @@ class _ConfigRunner:
         self.state0 = spin_wave(self.vc)
         self.spec = spec
 
-    def run_cell(
-        self, disorder: DisorderRealization | None
-    ) -> tuple[int | None, dict[str, float]]:
+    def run_cell(self, disorder: DisorderRealization) -> tuple[int | None, dict[str, float]]:
         """(Taylor steps taken, None on the spectral path; the cell's scalars)."""
         t = self.spec.observation_time
-        prop = self.blocks if disorder is None else self.blocks.with_onsite(disorder.energies)
+        prop = self.blocks.with_onsite(disorder.energies)
         steps = prop.steps(t)
         if not taylor_pays(steps, self.vc.n_atoms):
             prop, steps = Propagator(assemble(self.vc, self.couplings, disorder)), None
@@ -182,15 +182,9 @@ def _run_cell(cell, runners: list[_ConfigRunner] | None = None):
     ci, wi, slots = cell
     runner = runners[ci]
     spec = runner.spec
-    w = spec.w_values[wi]
     try:
-        disorder = None
-        if w > 0.0:
-            disorder = disorder_sample(
-                realization_seed(spec.master_seed, wi, slots[0]),
-                w,
-                runner.vc.n_atoms,
-            )
+        seed = realization_seed(spec.master_seed, wi, slots[0])
+        disorder = disorder_sample(seed, spec.w_values[wi], runner.vc.n_atoms)
         steps, payload = runner.run_cell(disorder)
     except Exception as exc:  # recorded, not raised: partial ensembles are useful
         return cell, None, None, f"{type(exc).__name__}: {exc}"
@@ -235,15 +229,16 @@ def _run_in_processes(runners: list[_ConfigRunner], cells: list, workers: int) -
 def run_ensemble(spec: EnsembleSpec) -> list[EnsembleResult]:
     """One EnsembleResult per spec.configs entry, over n_realizations seeded draws per W.
 
-    Each W = 0 entry is one cell per config that fills every realization
-    slot (zero disorder is seed independent); each W > 0 entry is one cell
-    per config and draw.  A cell fails when it raises or when any of its
-    scalars is non-finite; failures are recorded for every slot they cover
-    and skipped, and more than 5 percent of one config's realizations
-    failing aborts the run.  Up to spec.max_workers forked processes run
-    the cells of every config, never more than there are cells or CPUs this
-    process may run on; a worker process that dies aborts the run with a
-    RuntimeError naming the realizations of each config that never returned.
+    Each W = 0 entry is one cell per config, a zero draw, that fills every
+    realization slot (zero disorder is seed independent); each W > 0 entry
+    is one cell per config and draw.  A cell fails when it raises or when
+    any of its scalars is non-finite; failures are recorded for every slot
+    they cover and skipped, and more than 5 percent of one config's
+    realizations failing aborts the run.  Up to spec.max_workers forked
+    processes run the cells of every config, never more than there are
+    cells or CPUs this process may run on; a worker process that dies
+    aborts the run with a RuntimeError naming the realizations of each
+    config that never returned.
     """
     configs = [validate(config) for config in spec.configs]
     # the couplings depend on the geometry alone, which the configs share

@@ -69,6 +69,38 @@ def change_basis():
     return rotate
 
 
+def _lu_transmittances(energy, h, gamma_half, pairs):
+    """T for each (source, target) site pair at one energy, from LU solves.
+
+    The LU reference of scattering.s_matrix solved for the source sites'
+    columns alone: one lu_factor of E - H, (E - H) x = sqrt(gamma)[:, columns]
+    refined once, and each pair's 2 x 2 block of 1 - i sqrt(gamma) x summed
+    as scattering.transmittance sums it.
+    """
+    from scipy.linalg import lu_factor, lu_solve
+
+    sources = sorted({source for source, _ in pairs})
+    columns = [2 * site + p for site in sources for p in (0, 1)]
+    a = energy * np.eye(h.shape[0], dtype=complex) - h
+    lu = lu_factor(a)
+    rhs = gamma_half[:, columns]
+    x = lu_solve(lu, rhs)
+    x += lu_solve(lu, rhs - a @ x)
+    out = []
+    for source, target in pairs:
+        rows, cols = [2 * target, 2 * target + 1], [2 * source, 2 * source + 1]
+        at = 2 * sources.index(source)
+        block = np.equal.outer(rows, cols) - 1j * gamma_half[rows] @ x[:, at : at + 2]
+        out.append(float(np.sum(np.abs(block) ** 2)))
+    return np.array(out)
+
+
+@pytest.fixture(scope="session")
+def lu_transmittances():
+    """Return (energy, h, gamma_half, pairs) -> the LU reference T of each site pair."""
+    return _lu_transmittances
+
+
 class OneNormTaylor(TaylorPropagator):
     """TaylorPropagator with its steps sized by the exact 1-norm of H - mu I.
 

@@ -91,7 +91,7 @@ def scans(chains):
     }
 
 
-def test_smatrix_unitary_across_sizes_angles_disorder(chains):
+def test_smatrix_unitary_across_sizes_angles_disorder(chains, lu_transmittances):
     worst = 0.0
     case = 0
     for n in (2, 20, N_FULL):
@@ -127,16 +127,14 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains):
     scattering = KMatrixScattering(h, modes)
     half = gamma_sqrt(modes)
     long_worst, long_lu = 0.0, 0.0
+    # end to end T is 4e-7 to 7e-5 here; a three-site hop carries 0.015 to 0.13
+    pairs = ((0, vc.n_atoms - 1), (vc.n_atoms - 1, 0), (0, 3), (3, 0))
     for energy in (-1.0, 1.5, 4.0):
         result = scattering.s_matrix(energy)
-        reference = s_matrix(energy, h, half)
+        reference = lu_transmittances(energy, h, half, pairs)
         long_worst = max(long_worst, result.unitarity_defect)
-        # end to end T is 4e-7 to 7e-5 here; a three-site hop carries 0.015 to 0.13
-        for source, target in ((0, vc.n_atoms - 1), (vc.n_atoms - 1, 0), (0, 3), (3, 0)):
-            long_lu = max(
-                long_lu,
-                abs(result.transmittance(source, target) - transmittance(reference, source, target)),
-            )
+        for (source, target), want in zip(pairs, reference):
+            long_lu = max(long_lu, abs(result.transmittance(source, target) - want))
     report(
         "scattering matrix unitarity",
         max(worst, long_worst) < 1e-8 and long_lu < 1e-11,
@@ -149,18 +147,36 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains):
 LU_ENERGIES = np.linspace(-0.75, 4.25, 64)
 
 
+END_TO_END = ((0, N_FULL - 1), (N_FULL - 1, 0))
+
+
 @pytest.fixture(scope="module")
-def lu_reference(chains):
-    """(T_fwd, T_bwd) end to end on each chain at LU_ENERGIES, from the LU S matrix."""
+def lu_reference(chains, lu_transmittances):
+    """(T_fwd, T_bwd) end to end on each chain at LU_ENERGIES, from LU solves."""
     out = {}
     for tag in ("rec", "dir"):
         h, half = chains[tag]["h"].matrix, chains[tag]["half"]
-        references = [s_matrix(float(energy), h, half) for energy in LU_ENERGIES]
-        out[tag] = (
-            np.array([transmittance(r, 0, N_FULL - 1) for r in references]),
-            np.array([transmittance(r, N_FULL - 1, 0) for r in references]),
-        )
+        references = [lu_transmittances(float(e), h, half, END_TO_END) for e in LU_ENERGIES]
+        out[tag] = tuple(np.array(references).T)
     return out
+
+
+def test_lu_reference_matches_the_full_lu_s_matrix(chains, lu_transmittances):
+    # the endpoint-column LU reference against T read from the whole LU S
+    # matrix (scattering.s_matrix) on the shipped directional chain
+    h, half = chains["dir"]["h"].matrix, chains["dir"]["half"]
+    pairs = END_TO_END + ((0, 3), (3, 0), (7, 7))
+    worst = 0.0
+    for energy in LU_ENERGIES[::4]:
+        full = s_matrix(float(energy), h, half)
+        got = lu_transmittances(float(energy), h, half, pairs)
+        want = [transmittance(full, source, target) for source, target in pairs]
+        worst = max(worst, np.abs(got - want).max())
+    report(
+        "endpoint-column LU reference against the full LU S matrix",
+        worst < 1e-13,
+        f"max |dT| = {worst:.3e} over 16 energies and {len(pairs)} site pairs (limit 1e-13)",
+    )
 
 
 def test_scan_matches_lu_reference(chains, lu_reference):
@@ -190,7 +206,7 @@ def test_schur_scan_matches_lu_reference(chains, basis, change_basis, lu_referen
         channels = q @ scattering.channels
         for energy, *reference in zip(LU_ENERGIES, *lu_reference[tag]):
             result = replace(scattering.s_matrix(float(energy)), channels=channels)
-            for (source, target), want in zip(((0, N_FULL - 1), (N_FULL - 1, 0)), reference):
+            for (source, target), want in zip(END_TO_END, reference):
                 worst = max(worst, abs(result.transmittance(source, target) - want))
     report(
         f"K-matrix scan in the {basis} basis against the LU reference",

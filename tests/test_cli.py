@@ -452,7 +452,7 @@ def is_draw(runner, disorder, w_index, realization):
     spec = runner.spec
     seed = realization_seed(spec.master_seed, w_index, realization)
     draw = disorder_sample(seed, spec.w_values[w_index], runner.vc.n_atoms)
-    return disorder is not None and np.array_equal(disorder.energies, draw.energies)
+    return np.array_equal(disorder.energies, draw.energies)
 
 
 def test_disorder_partial_ensemble_is_honest(tmp_path, monkeypatch):
@@ -528,7 +528,7 @@ def test_zero_disorder_row_with_no_data_fails_its_check(tmp_path, monkeypatch):
     run_cell = _ConfigRunner.run_cell
 
     def flaky(self, disorder):
-        if disorder is None:
+        if is_draw(self, disorder, 0, 0):  # the zero draw
             raise RuntimeError("synthetic W = 0 failure")
         return run_cell(self, disorder)
 

@@ -85,10 +85,23 @@ def test_zero_disorder_column_degenerate():
         assert np.ptp(values[0]) == 0.0, name
         assert result.aggregates[name][0, 1] == 0.0, name
         assert result.aggregates[name][0, 0] == values[0, 0], name
-    # and matches a direct single run of the same machinery
+    # and matches a direct single run of the same machinery on a zero draw, bit for bit
     runner = config_runner(small_spec())
-    _, scalars = runner.run_cell(None)
+    _, scalars = runner.run_cell(disorder_sample(realization_seed(101, 0, 0), 0.0, SMALL.n_atoms))
     assert result.scalars["survival"][0, 0] == scalars["survival"]
+    for name, value in scalars.items():
+        assert np.array_equal(result.scalars[name][0], np.full(6, value)), name
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101, realization_seed(3, 0, 5)])
+def test_zero_draw_is_positive_zero_for_any_seed(seed):
+    # W = 0 cells add this draw to H; it changes no value because every
+    # energy is +0.0, and x + 0.0 == x for every x (a -0.0 becomes +0.0)
+    for n_atoms in (1, 16, 205):
+        energies = disorder_sample(seed, 0.0, n_atoms).energies
+        assert energies.shape == (n_atoms,)
+        assert np.array_equal(energies, np.zeros(n_atoms))
+        assert not np.signbit(energies).any()
 
 
 def test_deterministic_across_worker_counts():
@@ -175,7 +188,7 @@ def is_draw(runner, disorder, w_index, realization):
     spec = runner.spec
     seed = realization_seed(spec.master_seed, w_index, realization)
     draw = disorder_sample(seed, spec.w_values[w_index], runner.vc.n_atoms)
-    return disorder is not None and np.array_equal(disorder.energies, draw.energies)
+    return np.array_equal(disorder.energies, draw.energies)
 
 
 def test_non_finite_cell_is_a_recorded_failure(monkeypatch):
@@ -390,13 +403,14 @@ def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
     propagator = ensemble.Propagator
     monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
     blocks = config_runner(small_spec(configs=(vc,))).blocks
+    zero = disorder_sample(realization_seed(101, 0, 0), 0.0, n_atoms)
     step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
     last = n_atoms**2 // 200
     for steps in (last, last + 1):
         t = (steps - 0.5) * step
         assert blocks.steps(t) == steps
         spectral.clear()
-        config_runner(small_spec(configs=(vc,), observation_time=t)).run_cell(None)
+        config_runner(small_spec(configs=(vc,), observation_time=t)).run_cell(zero)
         # run_cell's inline rule before taylor_pays: spectral when s * 200 > N^2
         assert bool(spectral) == (steps * 200 > n_atoms**2) == (not taylor_pays(steps, n_atoms))
 

@@ -8,7 +8,9 @@ any command load a process pool module (`concurrent.*`, `multiprocessing*`)
 unless an ensemble runs on more than one worker.  The
 benchmark's set-up child takes `read_config, validate, build_couplings,
 assemble, decay_modes, gamma_sqrt` from atomchain.cli, so those names must
-stay importable from there without pulling scipy in either.
+stay importable from there without pulling scipy in either.  `import
+atomchain` itself loads no numpy and no submodule, which is what lets the
+CLI pin BLAS thread counts before numpy loads.
 """
 
 import json
@@ -55,20 +57,45 @@ print(json.dumps(report))
 """
 
 
+PACKAGE_PROBE = """
+import json, sys
+import atomchain
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "atomchain.")))
+from atomchain import cli
+print(json.dumps([loaded, atomchain.__version__, callable(cli.main)]))
+"""
+
+
+def probe_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
+
+
+def test_package_import_loads_no_numpy_and_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_PROBE],
+        capture_output=True,
+        text=True,
+        env=probe_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], "0.1.0", True]
+
+
 def test_cli_commands_without_factorization_load_no_scipy(tmp_path):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text("n_atoms = 24\nlattice_const = 0.125\nmixing_angle = 0.7853981633974483\n")
     ill = tmp_path / "ill.cfg"
     ill.write_text("n_atoms = 100\nlattice_const = 0.25\nmixing_angle = 0.7853981633974483\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(cfg), str(ill), str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=probe_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
