@@ -54,7 +54,7 @@ from .dynamics import (
     taylor_pays,
 )
 from .ensemble import SCALAR_OBSERVABLES, EnsembleSpec, paired_difference, run_ensemble
-from .hamiltonian import assemble
+from .hamiltonian import assemble, drive_hamiltonian
 from .scattering import (
     KMatrixScattering,
     gamma_sqrt,
@@ -193,7 +193,7 @@ def cmd_transmit(args, vc, seed):
             raise ConfigError(f"{flag} site {site} outside chain of {vc.n_atoms} atoms")
     couplings = build_couplings(vc)
     modes = decay_modes(couplings)
-    scattering = KMatrixScattering(assemble(vc, couplings).matrix, modes)
+    scattering = KMatrixScattering(drive_hamiltonian(vc) + couplings.shift, modes)
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     scan = spectrum_scan(scattering, energies, source, target, smoothing_window=args.smoothing)
     columns = {
@@ -211,7 +211,7 @@ def cmd_transmit(args, vc, seed):
     # the resonance the scan split off at the worst energy, and how far away
     # that energy sits in its half widths
     energy = float(scan.energies[worst_at])
-    pole = scattering.s_matrix(energy).pole
+    pole = complex(scan.poles[worst_at])
     if vc.reciprocal:
         asym = float(np.max(np.abs(scan.forward - scan.backward)))
         checks.append(CheckResult("direction_symmetry", asym < 1e-8, asym, 1e-8))
@@ -417,7 +417,7 @@ def cmd_verify(args, vc, seed):
 
         # the LU path is the reference that transmit's K-matrix scan must reproduce
         modes = decay_modes(couplings)
-        scattering = KMatrixScattering(h, modes)
+        scattering = KMatrixScattering(drive_hamiltonian(small) + couplings.shift, modes)
         half = gamma_sqrt(modes)
         rng = np.random.default_rng(0)
         energies = rng.uniform(-3, 8, size=5)

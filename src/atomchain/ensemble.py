@@ -147,13 +147,14 @@ def _aggregate(values: np.ndarray) -> np.ndarray:
 
     Only finite cells count: a failed realization (NaN, and listed among the
     failures) drops out of the mean, the standard error and the reported count.
+    Fewer than two finite values estimate no spread: the standard error is NaN.
     """
     rows = []
     for row in values:
         ok = row[np.isfinite(row)]
         n = ok.size
-        if n == 0:
-            rows.append((np.nan, np.nan, 0))
+        if n < 2:
+            rows.append((ok[0] if n else np.nan, np.nan, n))
         elif np.ptp(ok) == 0.0:
             # identical realizations (the W = 0 column) must aggregate without
             # summation rounding: mean is the common value, spread exactly zero
@@ -304,12 +305,13 @@ def paired_difference(a: EnsembleResult, b: EnsembleResult) -> dict[str, np.ndar
     a and b come from one run_ensemble call, so their cells saw identical
     draws; the paired design removes the draw-to-draw variance, so
     orderings resolve at far fewer realizations.  A cell that failed in
-    either result is NaN in the difference and drops out.
+    either result is NaN in the difference and drops out; with fewer than
+    two finite differences the standard error and z score are NaN.
     """
     rows = {}
     for name in SCALAR_OBSERVABLES:
         mean, sem, _ = _aggregate(a.scalars[name] - b.scalars[name]).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            z_score = np.where(sem > 0, mean / sem, np.where(mean == 0, 0.0, np.nan))
+            z_score = np.where(sem == 0, np.where(mean == 0, 0.0, np.nan), mean / sem)
         rows[name] = np.column_stack((mean, sem, z_score))
     return rows

@@ -7,7 +7,8 @@ collective_couplings, and V is an optional diagonal disorder potential that
 adds the same random energy to both polarizations of a site.  The
 anti-Hermitian part of H is exactly -(i/2) * decay by construction, which is
 the identity behind S-matrix unitarity: scattering.KMatrixScattering
-works from the Hermitian part (H + H^dag) / 2 and the decay channels.
+takes the Hermitian part drive_hamiltonian(vc) + shift (+ V), which is
+(H + H^dag) / 2 bit for bit, and the decay channels.
 """
 
 from __future__ import annotations

@@ -42,6 +42,16 @@ def dir24_couplings(dir24):
     return build_couplings(dir24)
 
 
+def _hermitian_part(h):
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.fixture(scope="session")
+def hermitian_part():
+    """Return h -> (h + h^dag) / 2: what KMatrixScattering takes for the matrix h of H."""
+    return _hermitian_part
+
+
 def _basis(h, name):
     # "schur": the Schur vectors of H, in which H is upper triangular;
     # "spectral": the eigenvectors of H's Hermitian part, in which it is diagonal
@@ -49,7 +59,7 @@ def _basis(h, name):
         from scipy.linalg import schur
 
         return schur(h, output="complex")[1]
-    return np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+    return np.linalg.eigh(_hermitian_part(h))[1]
 
 
 @pytest.fixture(scope="session")

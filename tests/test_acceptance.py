@@ -63,7 +63,7 @@ def full_config(mixing_angle):
 
 
 @pytest.fixture(scope="module")
-def chains():
+def chains(hermitian_part):
     out = {}
     for tag, angle in (("rec", 0.0), ("dir", np.pi / 4)):
         vc = full_config(angle)
@@ -76,7 +76,7 @@ def chains():
             "h": h,
             "modes": modes,
             "half": gamma_sqrt(modes),
-            "scattering": KMatrixScattering(h.matrix, modes),
+            "scattering": KMatrixScattering(hermitian_part(h.matrix), modes),
         }
     return out
 
@@ -91,7 +91,7 @@ def scans(chains):
     }
 
 
-def test_smatrix_unitary_across_sizes_angles_disorder(chains, lu_transmittances):
+def test_smatrix_unitary_across_sizes_angles_disorder(chains, lu_transmittances, hermitian_part):
     worst = 0.0
     case = 0
     for n in (2, 20, N_FULL):
@@ -113,7 +113,8 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains, lu_transmittances)
                     disorder = (
                         disorder_sample(np.random.SeedSequence(2026 + case), w, n) if w else None
                     )
-                    scattering = KMatrixScattering(assemble(vc, couplings, disorder).matrix, modes)
+                    h = assemble(vc, couplings, disorder).matrix
+                    scattering = KMatrixScattering(hermitian_part(h), modes)
                 energies = np.random.default_rng(1000 + case).uniform(-4.0, 10.0, 100)
                 for energy in energies:
                     worst = max(worst, scattering.s_matrix(float(energy)).unitarity_defect)
@@ -124,7 +125,7 @@ def test_smatrix_unitary_across_sizes_angles_disorder(chains, lu_transmittances)
     couplings = build_couplings(vc)
     h = assemble(vc, couplings).matrix
     modes = decay_modes(couplings)
-    scattering = KMatrixScattering(h, modes)
+    scattering = KMatrixScattering(hermitian_part(h), modes)
     half = gamma_sqrt(modes)
     long_worst, long_lu = 0.0, 0.0
     # end to end T is 4e-7 to 7e-5 here; a three-site hop carries 0.015 to 0.13
@@ -195,14 +196,16 @@ def test_scan_matches_lu_reference(chains, lu_reference):
 
 
 @pytest.mark.parametrize("basis", ["schur", "spectral"])
-def test_schur_scan_matches_lu_reference(chains, basis, change_basis, lu_reference):
+def test_schur_scan_matches_lu_reference(
+    chains, basis, change_basis, lu_reference, hermitian_part
+):
     # the K-matrix scan run on both chains written in H's Schur basis (H
     # upper triangular) or in the eigenbasis of H's Hermitian part, its
     # channels turned back to sites, against the site-basis LU reference
     worst = 0.0
     for tag in ("rec", "dir"):
         q, h, modes = change_basis(chains[tag]["h"].matrix, chains[tag]["modes"], basis)
-        scattering = KMatrixScattering(h, modes)
+        scattering = KMatrixScattering(hermitian_part(h), modes)
         channels = q @ scattering.channels
         for energy, *reference in zip(LU_ENERGIES, *lu_reference[tag]):
             result = replace(scattering.s_matrix(float(energy)), channels=channels)

@@ -16,9 +16,9 @@ from atomchain.chain_model import read_config, validate
 from atomchain.cli import CheckResult, main
 from atomchain.collective_couplings import build_couplings
 from atomchain.ensemble import _ConfigRunner, realization_seed
-from atomchain.hamiltonian import disorder_sample
-from atomchain.scattering import KMatrixScattering
-from atomchain.spectrum import transparency_window
+from atomchain.hamiltonian import assemble, disorder_sample
+from atomchain.scattering import KMatrixScattering, spectrum_scan
+from atomchain.spectrum import decay_modes, transparency_window
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -173,6 +173,32 @@ def test_unitarity_failure_names_the_nearest_pole(tmp_path, monkeypatch):
     assert failed["energy"] == float(energy)
     assert failed["defect"] == unitarity["value"] > 1e-8
     assert failed["nearest_eigenvalue"] == [pole_re, pole_im]
+
+
+def test_transmit_assembles_no_hamiltonian(tmp_path, monkeypatch, hermitian_part):
+    # transmit builds the scan from drive + shift; with assemble broken it
+    # still writes the table that a scan of the assembled H's Hermitian part gives
+    def refuse(*args, **kwargs):
+        raise AssertionError("transmit assembled H")
+
+    monkeypatch.setattr(cli, "assemble", refuse)
+    cfg = write_cfg(tmp_path / "chain.cfg", mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    assert main(["transmit", "--config", cfg, "--out", str(out), "--n-e", "40"]) == 0
+    vc = validate(read_config(cfg)[0])
+    couplings = build_couplings(vc)
+    scattering = KMatrixScattering(
+        hermitian_part(assemble(vc, couplings).matrix), decay_modes(couplings)
+    )
+    scan = spectrum_scan(scattering, np.linspace(-4.0, 10.0, 40), 0, vc.n_atoms - 1)
+    header, *rows = (out / "transmit.csv").read_text().splitlines()
+    assert header == (
+        "energy,t_forward,t_backward,t_forward_smoothed,t_backward_smoothed,unitarity_defect"
+    )
+    want = (scan.energies, scan.forward, scan.backward, scan.forward_smoothed,
+            scan.backward_smoothed, scan.unitarity_defect)
+    got = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(got, np.column_stack(want))
 
 
 def test_narrowest_directional_pole_passes_unitarity(tmp_path):
@@ -381,6 +407,26 @@ def test_disorder_paired_outputs(tmp_path):
         "twin": transparency_window(replace(vc, mixing_angle=0.0)),
     }
     assert windows["base"] != windows["twin"]
+
+
+def test_single_realization_reports_no_standard_error(tmp_path):
+    # one draw per W estimates no spread: sem, diff_sem and z are nan, and
+    # the W = 1 row does not claim an exact mean
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(["disorder", "--config", cfg, "--out", str(out), "--sqrt-w", "0,1",
+               "--realizations", "1", "--time", "2.0"])
+    assert rc == 0
+    aggregate = (out / "aggregate.csv").read_text().splitlines()
+    assert aggregate[0] == "config,observable,sqrt_w,mean,sem,n"
+    assert len(aggregate) == 1 + 2 * 5 * 2
+    for row in aggregate[1:]:
+        mean, sem, n = row.split(",")[3:]
+        assert np.isfinite(float(mean)) and sem == "nan" and n == "1", row
+    paired = (out / "paired_diff.csv").read_text().splitlines()
+    assert paired[0] == "observable,sqrt_w,diff_mean,diff_sem,z"
+    for row in paired[1:]:
+        assert row.split(",")[3:] == ["nan", "nan"], row
 
 
 def test_near_zero_mixing_angle_bands_are_even(tmp_path):

@@ -130,6 +130,37 @@ def test_aggregate_shape_and_content():
     assert agg[:, 2].tolist() == [6, 6]
 
 
+def test_fewer_than_two_finite_values_have_no_standard_error():
+    # one value estimates no spread: its sem is NaN, not the exact 0 that
+    # two or more identical values (the W = 0 column) aggregate to
+    rows = ensemble._aggregate(
+        np.array(
+            [
+                [np.nan, np.nan, np.nan],
+                [0.25, np.nan, np.nan],
+                [0.25, 0.25, np.nan],
+                [0.25, 0.5, np.nan],
+            ]
+        )
+    )
+    assert rows[:, 2].tolist() == [0, 1, 2, 2]
+    assert np.isnan(rows[0, 0]) and np.isnan(rows[0, 1])
+    assert rows[1, 0] == 0.25 and np.isnan(rows[1, 1])
+    assert rows[2, 0] == 0.25 and rows[2, 1] == 0.0
+    assert rows[3, 0] == 0.375 and rows[3, 1] == pytest.approx(0.125, rel=1e-15)
+
+
+def test_single_realization_paired_difference_has_no_z_score():
+    # identical configs differ by exactly 0 in every cell; with one
+    # realization that is still one value, so sem and z are NaN, not 0
+    spec = small_spec(configs=(SMALL, SMALL), n_realizations=1)
+    diff = paired_difference(*run_ensemble(spec))
+    for rows in diff.values():
+        mean, sem, z_score = rows.T
+        assert np.all(mean == 0.0)
+        assert np.all(np.isnan(sem)) and np.all(np.isnan(z_score))
+
+
 def test_disorder_mean_unbiased():
     # ensemble mean of on-site energies approaches 0 within 3 standard errors
     w, n, cells = 1.0, 64, 200

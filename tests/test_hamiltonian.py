@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atomchain.chain_model import GAMMA0, ChainConfig, validate
+from atomchain.chain_model import GAMMA0, ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.hamiltonian import assemble, disorder_sample, drive_hamiltonian
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def single_atom_block(vc, site: int) -> np.ndarray:
@@ -159,3 +164,27 @@ def test_disorder_sample_bounds_property(seed):
     w = 0.8
     real = disorder_sample(seed, w, 64)
     assert np.all(np.abs(real.energies) <= np.sqrt(3 * w) + 1e-12)
+
+
+@pytest.mark.parametrize("chain", ["rec24", "dir24", "directional", "reciprocal", "long"])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_drive_plus_shift_is_the_hermitian_part_bit_for_bit(request, chain, w):
+    # transmit and verify hand KMatrixScattering drive + shift (+ V) in place
+    # of (H + H^dag) / 2 of the assembled H; their outputs stay byte-identical
+    # only while the two agree in every bit, the sign of zeros included
+    if chain in ("rec24", "dir24"):
+        vc = request.getfixturevalue(chain)
+    elif chain == "long":
+        vc = validate(ChainConfig(n_atoms=600, lattice_const=0.25, mixing_angle=np.pi / 4))
+    else:
+        vc = read_config(CONFIG_DIR / f"{chain}.cfg")[0]
+    couplings = build_couplings(vc)
+    disorder = disorder_sample(7, w, vc.n_atoms) if w else None
+    h = assemble(vc, couplings, disorder).matrix
+    want = 0.5 * (h + h.conj().T)
+    got = drive_hamiltonian(vc) + couplings.shift
+    if disorder is not None:
+        got[np.diag_indices_from(got)] += np.repeat(disorder.energies, 2)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))

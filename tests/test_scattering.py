@@ -43,7 +43,7 @@ def test_gamma_sqrt_squares_back(dir24_couplings):
     assert np.abs(half @ half - dir24_couplings.decay).max() < 1e-12
 
 
-def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
+def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings, hermitian_part):
     # Reference: endpoint rows of the square root of the same float64 decay
     # matrix from a 30-digit eigendecomposition, then the same float64 solve.
     # decay_modes zeroes the rates at or below 4 eps max(rate), eigh's own
@@ -66,7 +66,7 @@ def test_transmittance_matches_exact_decay_square_root(dir24, dir24_couplings):
     h = assemble(dir24, dir24_couplings).matrix
     modes = decay_modes(dir24_couplings)
     half = gamma_sqrt(modes)
-    scattering = KMatrixScattering(h, modes)
+    scattering = KMatrixScattering(hermitian_part(h), modes)
     for energy in (-0.1, 0.5, 1.647, 2.5, 3.6):
         a = energy * np.eye(n2) - h
         lu = lu_factor(a)
@@ -104,7 +104,7 @@ def test_t_matrix_matches_spectral_resolvent():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_t_matrix_residual_guard(dir24, dir24_couplings):
+def test_t_matrix_residual_guard(hermitian_part):
     # singular linear system: energy exactly on a lossless eigenvalue
     h = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ResolventSingularity):
@@ -112,24 +112,15 @@ def test_t_matrix_residual_guard(dir24, dir24_couplings):
     # unit-rate modes describe the decay part -(i/2) 1
     modes = NormalModes(rates=np.ones(2), vectors=np.eye(2))
     tiny = np.diag([1e-310, 1.0]).astype(complex)
-    # modes that do not describe h's decay part: a Hermitian h, or the
-    # modes of a chain with another spacing
-    with pytest.raises(ValueError, match="modes do not describe h's decay part"):
-        KMatrixScattering(tiny, modes)
-    other = validate(ChainConfig(n_atoms=dir24.n_atoms, lattice_const=0.2, mixing_angle=np.pi / 4))
-    with pytest.raises(ValueError, match=r"decay part: .* is \d\.\d\de-0[1-3] of"):
-        KMatrixScattering(
-            assemble(dir24, dir24_couplings).matrix, decay_modes(build_couplings(other))
-        )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         # a doubly degenerate level of H_R exactly at E: one is split off,
         # the other's 1 / (E - eps) is infinite, and the scan says so
         with pytest.raises(ResolventSingularity):
-            KMatrixScattering(h - 0.5j * np.eye(2), modes).s_matrix(0.0)
+            KMatrixScattering(hermitian_part(h - 0.5j * np.eye(2)), modes).s_matrix(0.0)
         # a subnormal level at E: the split never divides by E - eps_j, and
         # S is the single-level phase (E - eps - i/2) / (E - eps + i/2) = -1
-        result = KMatrixScattering(tiny - 0.5j * np.eye(2), modes).s_matrix(0.0)
+        result = KMatrixScattering(hermitian_part(tiny - 0.5j * np.eye(2)), modes).s_matrix(0.0)
         assert np.all(np.isfinite(result.matrix))
         assert result.unitarity_defect < 1e-15
         assert result.matrix[0, 0] == pytest.approx(-1.0, abs=1e-15)
@@ -138,18 +129,18 @@ def test_t_matrix_residual_guard(dir24, dir24_couplings):
         # -i/4: its Hermitian part is not, and scatters unitarily
         exceptional = np.array([[-0.5j, 0.25], [0.25, 0.0]])
         result = KMatrixScattering(
-            exceptional, NormalModes(np.array([0.0, 1.0]), np.eye(2)[:, ::-1])
+            hermitian_part(exceptional), NormalModes(np.array([0.0, 1.0]), np.eye(2)[:, ::-1])
         ).s_matrix(0.0)
         assert result.unitarity_defect < 1e-14
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0])
-def test_channel_s_matrix_matches_lu(dir24, dir24_couplings, w):
+def test_channel_s_matrix_matches_lu(dir24, dir24_couplings, w, hermitian_part):
     disorder = disorder_sample(5, w, dir24.n_atoms) if w else None
     h = assemble(dir24, dir24_couplings, disorder).matrix
     modes = decay_modes(dir24_couplings)
     half = gamma_sqrt(modes)
-    scattering = KMatrixScattering(h, modes)
+    scattering = KMatrixScattering(hermitian_part(h), modes)
     u = scattering.channels
     eye = np.eye(h.shape[0])
     for energy in (-1.0, 0.5, 1.647, 3.0, 6.0):
@@ -167,7 +158,9 @@ def test_channel_s_matrix_matches_lu(dir24, dir24_couplings, w):
 
 @pytest.mark.parametrize("w", [0.0, 1.0])
 @pytest.mark.parametrize("basis", ["schur", "spectral"])
-def test_schur_channel_s_matrix_matches_lu(dir24, dir24_couplings, w, basis, change_basis):
+def test_schur_channel_s_matrix_matches_lu(
+    dir24, dir24_couplings, w, basis, change_basis, hermitian_part
+):
     # the same chain written in H's Schur basis (H upper triangular) or in
     # the eigenbasis of H's Hermitian part: S agrees with the LU reference
     # entry by entry there, and turned back to sites gives the site T
@@ -176,7 +169,7 @@ def test_schur_channel_s_matrix_matches_lu(dir24, dir24_couplings, w, basis, cha
     site_modes = decay_modes(dir24_couplings)
     q, h, modes = change_basis(site_h, site_modes, basis)
     half = gamma_sqrt(modes)
-    scattering = KMatrixScattering(h, modes)
+    scattering = KMatrixScattering(hermitian_part(h), modes)
     u = scattering.channels
     eye = np.eye(h.shape[0])
     for energy in (-1.0, 0.5, 1.647, 3.0, 6.0):
@@ -264,9 +257,9 @@ def test_reciprocity_defect_dichotomy(rec24, dir24, rec24_couplings, dir24_coupl
     assert reciprocity_defect(dir24, dir24_couplings) > 1e-3
 
 
-def test_spectrum_scan_output(dir24, dir24_couplings):
+def test_spectrum_scan_output(dir24, dir24_couplings, hermitian_part):
     h = assemble(dir24, dir24_couplings).matrix
-    scattering = KMatrixScattering(h, decay_modes(dir24_couplings))
+    scattering = KMatrixScattering(hermitian_part(h), decay_modes(dir24_couplings))
     energies = np.linspace(-1, 7, 60)
     scan = spectrum_scan(scattering, energies, 0, dir24.n_atoms - 1, smoothing_window=0.5)
     assert scan.forward.shape == energies.shape
@@ -276,9 +269,9 @@ def test_spectrum_scan_output(dir24, dir24_couplings):
     assert scan.forward_smoothed.mean() == pytest.approx(scan.forward.mean(), rel=0.05)
 
 
-def test_spectrum_scan_rejects_a_window_wider_than_its_grid(dir24, dir24_couplings):
+def test_spectrum_scan_rejects_a_window_wider_than_its_grid(dir24, dir24_couplings, hermitian_part):
     h = assemble(dir24, dir24_couplings).matrix
-    scattering = KMatrixScattering(h, decay_modes(dir24_couplings))
+    scattering = KMatrixScattering(hermitian_part(h), decay_modes(dir24_couplings))
     # the default 0.05 window over a 1e-12-wide grid would pad the boxcar by ~1e11 samples
     with pytest.raises(ValueError, match="smoothing_window"):
         spectrum_scan(scattering, np.linspace(0.0, 1e-12, 3), 0, 5)
@@ -301,9 +294,9 @@ def test_boxcar_matches_scipy_uniform_filter_bit_for_bit():
         assert np.array_equal(_boxcar(values, size), want), size
 
 
-def test_spectrum_scan_no_smoothing(dir24, dir24_couplings):
+def test_spectrum_scan_no_smoothing(dir24, dir24_couplings, hermitian_part):
     h = assemble(dir24, dir24_couplings).matrix
-    scattering = KMatrixScattering(h, decay_modes(dir24_couplings))
+    scattering = KMatrixScattering(hermitian_part(h), decay_modes(dir24_couplings))
     energies = np.linspace(0, 2, 8)
     scan = spectrum_scan(scattering, energies, 0, 5, smoothing_window=None)
     assert np.array_equal(scan.forward, scan.forward_smoothed)
@@ -335,13 +328,15 @@ def shipped():
 @pytest.mark.parametrize(
     "name, resonance", [("directional", -0.186), ("reciprocal", 1.367)]
 )
-def test_floored_channels_match_every_positive_rate(shipped, name, resonance):
+def test_floored_channels_match_every_positive_rate(shipped, name, resonance, hermitian_part):
     # Reference: the channel set before the floor, every rate eigh leaves
     # positive, built directly from eigh and a clip at zero.
     vc, couplings, h = shipped[name]
     rates, vectors = np.linalg.eigh(couplings.decay)
-    reference = KMatrixScattering(h, NormalModes(np.clip(rates, 0.0, None), vectors))
-    scattering = KMatrixScattering(h, decay_modes(couplings))
+    reference = KMatrixScattering(
+        hermitian_part(h), NormalModes(np.clip(rates, 0.0, None), vectors)
+    )
+    scattering = KMatrixScattering(hermitian_part(h), decay_modes(couplings))
     assert reference.channels.shape[1] > 250
     assert scattering.channels.shape[1] == 138
     # a long-lived resonance that carries transport: the eigenvalue of H
@@ -365,7 +360,7 @@ def test_floored_channels_match_every_positive_rate(shipped, name, resonance):
 
 
 @pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])
-def test_hermitian_part_eigh_is_accurate(request, shipped, name):
+def test_hermitian_part_eigh_is_accurate(request, shipped, name, hermitian_part):
     # the once-per-scan accuracy figures transmit writes to its manifest
     if name in shipped:
         _, couplings, h = shipped[name]
@@ -373,7 +368,7 @@ def test_hermitian_part_eigh_is_accurate(request, shipped, name):
         couplings = request.getfixturevalue(f"{name}_couplings")
         h = assemble(request.getfixturevalue(name), couplings).matrix
     modes = decay_modes(couplings)
-    scattering = KMatrixScattering(h, modes)
+    scattering = KMatrixScattering(hermitian_part(h), modes)
     # the shipped chains read 2.3e-15 and 5.7e-14 at most
     assert 0.0 < scattering.eigh_residual < 1e-13
     assert 0.0 < scattering.eigh_orthogonality < 1e-12
@@ -382,6 +377,21 @@ def test_hermitian_part_eigh_is_accurate(request, shipped, name):
     ybar = scattering.channels * np.sqrt(modes.rates[modes.rates > 0])
     anti = 0.5 * (h - h.conj().T)
     assert np.abs(anti + 0.5j * ybar @ ybar.conj().T).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])
+def test_full_h_in_place_of_its_hermitian_part_fails_the_residual_guard(request, shipped, name):
+    # KMatrixScattering takes H's Hermitian part and defines H from it and
+    # the modes.  Handed the assembled non-Hermitian H by mistake, eigh reads
+    # one triangle, and the residual against the whole matrix (3.7e-1 on the
+    # 24-atom chains, 3.9e-1 on the shipped ones) fails the 1e-6 guard.
+    if name in shipped:
+        _, couplings, h = shipped[name]
+    else:
+        couplings = request.getfixturevalue(f"{name}_couplings")
+        h = assemble(request.getfixturevalue(name), couplings).matrix
+    with pytest.raises(ResolventSingularity, match=r"left relative residual \d\.\d\de-01$"):
+        KMatrixScattering(h, decay_modes(couplings))
 
 
 @pytest.mark.parametrize("name", ["dir24", "rec24", "directional", "reciprocal"])
