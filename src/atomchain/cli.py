@@ -41,8 +41,8 @@ from . import __version__
 from .chain_model import ConfigError, GAMMA0, read_config, validate
 from .collective_couplings import build_couplings
 from .dynamics import (
-    Propagator,
     TaylorPropagator,
+    choose_propagator,
     far_field_ring,
     far_field_rows,
     launch_site,
@@ -51,7 +51,6 @@ from .dynamics import (
     populations,
     propagate_to,
     spin_wave,
-    taylor_pays,
 )
 from .ensemble import SCALAR_OBSERVABLES, EnsembleSpec, paired_difference, run_ensemble
 from .hamiltonian import assemble, drive_hamiltonian
@@ -266,7 +265,7 @@ def cmd_evolve(args, vc, seed):
     # the snapshot chain, the composition check and the site-reversed launch
     # of mirror_ratio_flip each run to times[-1]
     taylor_steps = 3 * taylor.steps(times[-1])
-    propagator = taylor if taylor_pays(taylor_steps, vc.n_atoms) else Propagator(h)
+    propagator = choose_propagator(taylor, taylor_steps, lambda: h)
     ring = far_field_ring(vc, n_angles=args.n_angles)
 
     states, state = [], state0
@@ -385,14 +384,9 @@ def cmd_disorder(args, vc, seed):
     extras.update({"failures" + s: r.failures for s, r in results.items()})
     extras.update({"taylor_steps" + s: r.taylor_steps for s, r in results.items()})
     extras.update({"spectral_cells" + s: r.spectral_cells for s, r in results.items()})
-    checks = []
-    if 0.0 in sqrt_w:
-        # peak-to-peak, not std: the mean of n identical floats rounds at the
-        # ulp; np.max keeps the NaN of a failed cell, so a row with no data fails
-        zero = [wi for wi, s in enumerate(sqrt_w) if s == 0.0]
-        blocks = [r.scalars[obs][zero] for r in results.values() for obs in SCALAR_OBSERVABLES]
-        spread = float(np.max(np.ptp(blocks, axis=2)))
-        checks.append(CheckResult("zero_disorder_spread", spread == 0.0, spread, 0.0))
+    # a failed cell leaves every scalar NaN, so survival's count is the row's
+    empty = sum(int(np.sum(r.aggregates["survival"][:, 2] == 0)) for r in results.values())
+    checks = [CheckResult("rows_without_data", empty == 0, float(empty), 0.0)]
     return tables, checks, extras
 
 

@@ -2,20 +2,16 @@
 
 Evolution under the non-Hermitian Hamiltonian has two propagators.
 Propagator does one spectral decomposition (eig + inv of H) and then
-evaluates any time diagonally, so its cost does not grow with t.  If the
-eigenvector matrix is ill-conditioned (1-norm condition number, read off
-the inverse it needs anyway, above 1e12 or not finite, which never happens
-for the chains studied here but can for contrived inputs) it falls back
-to a dense scaling-and-squaring matrix exponential per snapshot
-(scipy.linalg.expm, imported only on that branch).
+evaluates any time diagonally, so its cost does not grow with t.  It
+raises numpy.linalg.LinAlgError if the eigenvector matrix is
+ill-conditioned (1-norm condition number, read off the inverse it needs
+anyway, above 1e12 or not finite: never for the chains studied here).
 TaylorPropagator serves one state at one time without factorizing H: it
 sums the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
 33, 488, 2011, Algorithm 3.2) and applies H through its polarization
 blocks, so its cost grows with t times a 2-norm bound on H - mu I, read
-off those blocks, instead of with N^3.
-taylor_pays is the one rule that picks between them: the Taylor series
-runs while the steps a job needs in all stay within the measured
-break-even of N^2 / 200.
+off those blocks, instead of with N^3; it has no conditioning limit.
+choose_propagator is the one decision between them.
 
 Far-field conventions.  A detector at P sees each excited (site n,
 polarization s) through its transverse dipole pattern with the exact
@@ -35,7 +31,7 @@ spectra are one FFT of (-1)^n exp(i s k_c z_n) c_ns per polarization s.
 
 from __future__ import annotations
 
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,27 +116,19 @@ class Propagator:
     """exp(-i H t) applied through the spectral decomposition of H."""
 
     def __init__(self, h: NonHermitianHamiltonian):
-        self.matrix = h.matrix
-        values, vectors = np.linalg.eig(self.matrix)
+        values, vectors = np.linalg.eig(h.matrix)
         try:
             inverse = np.linalg.inv(vectors)
             cond = np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1)
         except np.linalg.LinAlgError:  # eig can return an exactly singular V
             cond = np.inf
-        if cond <= _CONDITION_LIMIT:
-            self._spectral = (values, vectors, inverse)
-        else:  # also a NaN product, from overflow in the inverse
-            warnings.warn(
-                f"eigenvector condition number (1-norm) {cond:.2e} exceeds "
-                f"{_CONDITION_LIMIT:.0e}; falling back to dense matrix exponentials"
+        if not cond <= _CONDITION_LIMIT:  # also a NaN product, from overflow in the inverse
+            raise np.linalg.LinAlgError(
+                f"eigenvector condition number (1-norm) {cond:.2e} exceeds {_CONDITION_LIMIT:.0e}"
             )
-            self._spectral = None
+        self._spectral = (values, vectors, inverse)
 
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
-        if self._spectral is None:
-            from scipy.linalg import expm
-
-            return expm(-1.0j * self.matrix * t) @ amps
         values, vectors, inverse = self._spectral
         return (vectors * np.exp(-1.0j * values * t)) @ (inverse @ amps)
 
@@ -235,8 +223,8 @@ class TaylorPropagator:
         """
         if not t >= 0.0:
             raise ValueError(f"the Taylor series runs forward in time only, got t = {t!r}")
-        mu, shifted, _ = self._shift()
-        s = self.steps(t)
+        mu, shifted, bound = self._shift()
+        s = int(np.ceil(t * bound / _THETA))  # steps(t), without a second _shift
         f = np.array(amps, dtype=complex).reshape(-1, 2)
         if s == 0:
             return f.reshape(-1)
@@ -272,6 +260,26 @@ def taylor_pays(steps: int, n_atoms: int) -> bool:
     does, so no one constant fits all four better: N^2 / 200 stays.
     """
     return steps * 200 <= n_atoms**2
+
+
+def choose_propagator(
+    taylor: TaylorPropagator, steps: int, hamiltonian: Callable[[], NonHermitianHamiltonian]
+) -> Propagator | TaylorPropagator:
+    """For a job of `steps` Taylor steps in all: taylor while taylor_pays, else
+    Propagator(hamiltonian()), else, where Propagator raises LinAlgError, taylor.
+
+    hamiltonian builds the dense H, so it is assembled only off the Taylor
+    path.  The trade-off of the last branch: an H whose eigenvectors are
+    ill-conditioned costs Taylor steps linear in t, where a scaling-and-squaring
+    exponential paid about log t squarings.  No chain studied here comes near
+    the limit (1.0e3 and 2.1e2 on the shipped chains, 5.6e6 at 600 atoms, a = 1/4).
+    """
+    if taylor_pays(steps, taylor.diagonal.shape[0]):
+        return taylor
+    try:
+        return Propagator(hamiltonian())
+    except np.linalg.LinAlgError:
+        return taylor
 
 
 def propagate_to(

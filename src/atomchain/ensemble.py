@@ -34,11 +34,11 @@ on-site energies added in O(N); no cell factorizes H.  A cell's
 Taylor steps grow with the observation time times a bound on the 2-norm of
 its H, which the disorder draw raises (7 steps at W = 0 and 9 at W = 1 on
 the shipped chains at the default time).  Cells whose Taylor series would
-need more than N^2 / 200 steps (long observation times or strong disorder;
-the rule is dynamics.taylor_pays) fall back to the spectral
-dynamics.Propagator of the assembled H, whose cost does not grow with t.
-Each result records the least and the most Taylor steps over its cells
-and how many cells took the spectral path.
+need more than N^2 / 200 steps (long observation times or strong disorder)
+take the spectral Propagator of the assembled H, whose cost does not grow
+with t, as dynamics.choose_propagator decides.  Each result records the
+least and the most Taylor steps over the cells that ran the series and
+how many cells took the spectral path.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ import numpy as np
 from .chain_model import ChainConfig, validate
 from .collective_couplings import CouplingMatrices, build_couplings
 from .dynamics import (
-    Propagator,
     TaylorPropagator,
+    choose_propagator,
     momentum_distribution,
     propagate_to,
     site_participation,
     spin_wave,
-    taylor_pays,
 )
 from .hamiltonian import DisorderRealization, assemble, disorder_sample
 
@@ -134,12 +133,11 @@ class _ConfigRunner:
     def run_cell(self, disorder: DisorderRealization) -> tuple[int | None, dict[str, float]]:
         """(Taylor steps taken, None on the spectral path; the cell's scalars)."""
         t = self.spec.observation_time
-        prop = self.blocks.with_onsite(disorder.energies)
-        steps = prop.steps(t)
-        if not taylor_pays(steps, self.vc.n_atoms):
-            prop, steps = Propagator(assemble(self.vc, self.couplings, disorder)), None
+        taylor = self.blocks.with_onsite(disorder.energies)
+        steps = taylor.steps(t)
+        prop = choose_propagator(taylor, steps, lambda: assemble(self.vc, self.couplings, disorder))
         state = propagate_to(self.state0, prop, t)
-        return steps, _cell_scalars(self.vc, state)
+        return (steps if prop is taylor else None), _cell_scalars(self.vc, state)
 
 
 def _aggregate(values: np.ndarray) -> np.ndarray:

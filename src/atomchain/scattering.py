@@ -69,15 +69,12 @@ there is no fallback.  Because S_r is unitary by construction, the
 per-energy unitarity defect measures the rounding of the Cayley solve,
 not the accuracy of the resolvent; the eigh residuals above and the
 tests' LU reference hold that.  t_matrix and s_matrix keep the
-direct route, one LU factorization of E - H per energy with one
+direct route, numpy.linalg.solve of E - H per energy with one
 refinement step, as the reference that verify, the benchmark and the
 tests compare against.
 
-scipy.linalg is imported inside t_matrix (lu_factor and lu_solve), not at
-module level: the CLI imports this module for every command, and only
-verify's LU reference loads scipy.  The smoothing boxcar is a numpy
-running sum that reproduces scipy.ndimage.uniform_filter1d (mode="nearest")
-bit for bit, so no command loads scipy.ndimage.
+The smoothing boxcar is a numpy running sum that reproduces
+scipy.ndimage.uniform_filter1d (mode="nearest") bit for bit.
 
 Photodetection ties decay to emitted photons.  Detection rows take the
 plane-wave (R -> infinity) limit: for a direction Rhat and transverse
@@ -129,20 +126,22 @@ def t_matrix(energy: float, h: np.ndarray, gamma_half: np.ndarray) -> np.ndarray
     """Full scattering t matrix at one (real) energy; h is the matrix of H.
 
     The LU reference for KMatrixScattering, kept for verify, bench/ and the tests.
-    Never forms a dense inverse: one LU factorization of E - H is reused
-    for every column of sqrt(gamma), then refined once.
+    Never forms a dense inverse: numpy.linalg.solve factorizes E - H once
+    for every column of sqrt(gamma), and again for the one refinement
+    step.  An exactly singular E - H, or a non-finite solution, raises
+    ResolventSingularity.
     """
-    from scipy.linalg import lu_factor, lu_solve
-
     a = energy * np.eye(h.shape[0], dtype=complex) - h
-    lu = lu_factor(a)
-    x = lu_solve(lu, gamma_half)
-    if not np.all(np.isfinite(x)):
+    try:
+        x = np.linalg.solve(a, gamma_half)  # raises on an exact zero pivot
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError as exc:
         raise ResolventSingularity(
             f"energy {energy!r} renders the resolvent system singular"
-        )
+        ) from exc
     residual = gamma_half - a @ x
-    x += lu_solve(lu, residual)
+    x += np.linalg.solve(a, residual)
     residual = gamma_half - a @ x
     rel = np.linalg.norm(residual) / np.linalg.norm(gamma_half)
     if not np.isfinite(rel) or rel > _RESIDUAL_LIMIT:

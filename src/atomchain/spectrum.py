@@ -29,7 +29,6 @@ over the (n_k, 2) momentum array and diagonalizes the stacked 2x2 matrices
 in one call; tests/test_spectrum.py keeps the per-k scalar loop as its
 reference.
 
-This module imports no scipy, so that importing the CLI loads numpy only.
 The Clausen coefficients are a literal table, the bits that
 scipy.special.zeta gives, and q log q takes math.log per element, which
 rounds as scipy.special.xlogy does; the tests hold both to scipy bit for

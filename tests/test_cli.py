@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomchain import cli, ensemble
+from atomchain import cli, dynamics
 from atomchain.chain_model import read_config, validate
 from atomchain.cli import CheckResult, main
 from atomchain.collective_couplings import build_couplings
@@ -281,17 +281,35 @@ def test_evolve_names_its_propagator(tmp_path, n_atoms, propagator):
 EVOLVE_KEYS = {"populations": 2, "momentum": 2, "norms": 1, "intensity": 2}
 
 
-def evolve_tables(tmp_path, monkeypatch, cfg, taylor):
-    """Tables of one evolve run with the propagator rule forced to one branch."""
-    monkeypatch.setattr(cli, "taylor_pays", lambda steps, n_atoms: taylor)
-    out = tmp_path / ("taylor" if taylor else "spectral")
-    rc = main(["evolve", "--config", str(cfg), "--out", str(out),
-               "--times", "0.5,3.0,6.5,13.0,26.0"])
+EVOLVE_TIMES = "0.5,3.0,6.5,13.0,26.0"
+
+
+def evolve_tables(out, cfg, propagator, times=EVOLVE_TIMES):
+    """(extras, tables) of one evolve run that took `propagator` and passed every check."""
+    rc = main(["evolve", "--config", str(cfg), "--out", str(out), "--times", times])
     assert rc == 0
     manifest = read_manifest(out)
-    assert manifest["extras"]["propagator"] == out.name
+    assert manifest["extras"]["propagator"] == propagator
     assert all(c["passed"] for c in manifest["self_checks"])
-    return {name: np.loadtxt(out / name, delimiter=",", skiprows=1) for name in manifest["outputs"]}
+    tables = {name: np.loadtxt(out / name, delimiter=",", skiprows=1) for name in manifest["outputs"]}
+    return manifest["extras"], tables
+
+
+def forced_tables(tmp_path, monkeypatch, cfg, taylor):
+    """Tables of one evolve run with the propagator rule forced to one branch."""
+    monkeypatch.setattr(dynamics, "taylor_pays", lambda steps, n_atoms: taylor)
+    name = "taylor" if taylor else "spectral"
+    return evolve_tables(tmp_path / name, cfg, name)[1]
+
+
+def assert_tables_match(got, want, rtol):
+    """Equal key columns, and value columns within rtol of each table's largest value."""
+    assert got.keys() == want.keys()
+    for name, table in want.items():
+        keys = EVOLVE_KEYS[name.split("_")[0].removesuffix(".csv")]
+        assert np.array_equal(got[name][:, :keys], table[:, :keys]), name
+        scale = np.abs(table[:, keys:]).max()
+        assert np.abs(got[name][:, keys:] - table[:, keys:]).max() <= rtol * scale, name
 
 
 @pytest.mark.parametrize("chain", ["dir24", "rec24", "directional", "reciprocal"])
@@ -301,16 +319,26 @@ def test_chained_taylor_evolve_matches_the_propagator_path(tmp_path, monkeypatch
         cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=angle)
     else:
         cfg = CONFIGS / f"{chain}.cfg"
-    taylor = evolve_tables(tmp_path, monkeypatch, cfg, True)
-    spectral = evolve_tables(tmp_path, monkeypatch, cfg, False)
-    assert taylor.keys() == spectral.keys()
-    for name, want in spectral.items():
-        keys = EVOLVE_KEYS[name.split("_")[0].removesuffix(".csv")]
-        got = taylor[name]
-        assert np.array_equal(got[:, :keys], want[:, :keys]), name
-        # measured 2.3e-13 of the table's largest value on the shipped chains
-        scale = np.abs(want[:, keys:]).max()
-        assert np.abs(got[:, keys:] - want[:, keys:]).max() <= 1e-10 * scale, name
+    taylor = forced_tables(tmp_path, monkeypatch, cfg, True)
+    spectral = forced_tables(tmp_path, monkeypatch, cfg, False)
+    # measured 2.3e-13 of the table's largest value on the shipped chains
+    assert_tables_match(taylor, spectral, 1e-10)
+
+
+@pytest.mark.parametrize("chain, times", [("dir24", EVOLVE_TIMES), ("directional", "0.5,300")])
+def test_evolve_past_the_break_even_falls_back_to_taylor(tmp_path, monkeypatch, chain, times):
+    # with no condition number allowed, Propagator raises and the decision
+    # keeps the Taylor series for a job past N^2 / 200 steps
+    if chain == "dir24":
+        cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
+    else:
+        cfg = CONFIGS / f"{chain}.cfg"
+    n_atoms = validate(read_config(cfg)[0]).n_atoms
+    _, spectral = evolve_tables(tmp_path / "spectral", cfg, "spectral", times)
+    monkeypatch.setattr(dynamics, "_CONDITION_LIMIT", 0.0)
+    extras, taylor = evolve_tables(tmp_path / "taylor", cfg, "taylor", times)
+    assert extras["taylor_steps"] * 200 > n_atoms**2
+    assert_tables_match(taylor, spectral, 1e-10)
 
 
 @pytest.mark.parametrize("chain", ["directional", "reciprocal"])
@@ -318,15 +346,10 @@ def test_evolve_tables_match_the_one_norm_path(tmp_path, monkeypatch, chain, one
     # the same Taylor evolve with steps sized by the exact 1-norm of H - mu I,
     # about twice as many: every table agrees to rounding
     cfg = CONFIGS / f"{chain}.cfg"
-    got = evolve_tables(tmp_path / "bound", monkeypatch, cfg, True)
+    got = forced_tables(tmp_path / "bound", monkeypatch, cfg, True)
     monkeypatch.setattr(cli, "TaylorPropagator", one_norm_taylor)
-    want = evolve_tables(tmp_path / "one_norm", monkeypatch, cfg, True)
-    assert got.keys() == want.keys()
-    for name, table in want.items():
-        keys = EVOLVE_KEYS[name.split("_")[0].removesuffix(".csv")]
-        assert np.array_equal(got[name][:, :keys], table[:, :keys]), name
-        scale = np.abs(table[:, keys:]).max()
-        assert np.abs(got[name][:, keys:] - table[:, keys:]).max() <= 1e-12 * scale, name
+    want = forced_tables(tmp_path / "one_norm", monkeypatch, cfg, True)
+    assert_tables_match(got, want, 1e-12)
 
 
 def read_strict_manifest(outdir):
@@ -394,8 +417,8 @@ def test_disorder_paired_outputs(tmp_path):
     assert (out / "aggregate.csv").exists()
     assert (out / "survival_base.csv").exists()
     assert (out / "survival_twin.csv").exists()
-    spread = [c for c in manifest["self_checks"] if c["name"] == "zero_disorder_spread"]
-    assert spread and spread[0]["passed"] and spread[0]["value"] == 0.0
+    empty = [c for c in manifest["self_checks"] if c["name"] == "rows_without_data"]
+    assert empty == [{"name": "rows_without_data", "passed": True, "value": 0.0, "limit": 0.0}]
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert agg[0] == "config,observable,sqrt_w,mean,sem,n"
     assert any(line.startswith("twin,") for line in agg[1:])
@@ -480,8 +503,8 @@ def test_disorder_manifest_names_each_cells_propagator(tmp_path, monkeypatch):
     # cell past the limit onto the spectral Propagator
     cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
     built = []
-    propagator = ensemble.Propagator
-    monkeypatch.setattr(ensemble, "Propagator", lambda h: built.append(h) or propagator(h))
+    propagator = dynamics.Propagator
+    monkeypatch.setattr(dynamics, "Propagator", lambda h: built.append(h) or propagator(h))
     out = tmp_path / "out"
     rc = main(["disorder", "--config", cfg, "--out", str(out), "--sqrt-w", "0,5",
                "--realizations", "2", "--time", "3.0", "--threads", "1"])
@@ -491,6 +514,21 @@ def test_disorder_manifest_names_each_cells_propagator(tmp_path, monkeypatch):
         assert extras["taylor_steps" + suffix] == [2, 2]
         assert extras["spectral_cells" + suffix] == 2
     assert len(built) == 4
+
+
+def test_disorder_past_the_break_even_falls_back_to_taylor(tmp_path, monkeypatch):
+    # the W = 25 cells of the test above, with no condition number allowed:
+    # Propagator raises and every cell keeps the Taylor series
+    monkeypatch.setattr(dynamics, "_CONDITION_LIMIT", 0.0)
+    cfg = write_cfg(tmp_path / "chain.cfg", n_atoms=24, mixing_angle=np.pi / 4)
+    out = tmp_path / "out"
+    rc = main(["disorder", "--config", cfg, "--out", str(out), "--sqrt-w", "0,5",
+               "--realizations", "2", "--time", "3.0", "--threads", "1"])
+    assert rc == 0
+    extras = read_manifest(out)["extras"]
+    for suffix in ("_base", "_twin"):
+        assert extras["spectral_cells" + suffix] == 0
+        assert extras["taylor_steps" + suffix][1] * 200 > 24**2
 
 
 def is_draw(runner, disorder, w_index, realization):
@@ -568,14 +606,13 @@ def test_dead_ensemble_worker_exits_3_and_writes_no_table(tmp_path, monkeypatch)
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
-def test_zero_disorder_row_with_no_data_fails_its_check(tmp_path, monkeypatch):
-    # both W = 0 slots fail: 2 of 42 slots, under the failure limit, but the
-    # W = 0 rows hold no data, so their spread is unknown, not zero
+def assert_empty_row_fails_the_run(tmp_path, monkeypatch, w_index):
+    """A 21-W --single run whose W[w_index] cells all fail exits 3 on rows_without_data."""
     run_cell = _ConfigRunner.run_cell
 
     def flaky(self, disorder):
-        if is_draw(self, disorder, 0, 0):  # the zero draw
-            raise RuntimeError("synthetic W = 0 failure")
+        if any(is_draw(self, disorder, w_index, ri) for ri in range(2)):
+            raise RuntimeError("synthetic row failure")
         return run_cell(self, disorder)
 
     monkeypatch.setattr(_ConfigRunner, "run_cell", flaky)
@@ -588,13 +625,23 @@ def test_zero_disorder_row_with_no_data_fails_its_check(tmp_path, monkeypatch):
     )
     assert rc == 3
     manifest = read_strict_manifest(out)
+    # 2 of 42 slots fail, under the 5 percent limit, so the run completes
     assert len(manifest["extras"]["failures"]) == 2
-    spread = [c for c in manifest["self_checks"] if c["name"] == "zero_disorder_spread"]
-    assert spread == [{"name": "zero_disorder_spread", "passed": False, "value": None,
-                       "limit": 0.0}]
-    zero_rows = [line for line in (out / "aggregate.csv").read_text().splitlines()
-                 if line.split(",")[2] == "0.0"]
-    assert zero_rows and all(line.endswith(",nan,nan,0") for line in zero_rows)
+    checks = [c for c in manifest["self_checks"] if c["name"] == "rows_without_data"]
+    assert checks == [{"name": "rows_without_data", "passed": False, "value": 1.0, "limit": 0.0}]
+    empty = [line for line in (out / "aggregate.csv").read_text().splitlines()
+             if line.split(",")[2] == str(w_index / 20)]
+    assert empty and all(line.endswith(",nan,nan,0") for line in empty)
+
+
+def test_zero_disorder_row_with_no_data_fails_rows_without_data(tmp_path, monkeypatch):
+    # the one W = 0 cell fills both slots; when it fails that row holds no data
+    assert_empty_row_fails_the_run(tmp_path, monkeypatch, 0)
+
+
+def test_disorder_row_with_no_data_fails_rows_without_data(tmp_path, monkeypatch):
+    # both draws at sqrt(W) = 0.3 fail: a W > 0 row with no data fails the run too
+    assert_empty_row_fails_the_run(tmp_path, monkeypatch, 6)
 
 
 def test_verify_passes_on_default_config(tmp_path):
@@ -722,7 +769,7 @@ def test_exit_2_bad_grid_size_or_time(tmp_path, capsys, monkeypatch, command, fl
     def setup_reached(*args, **kwargs):
         raise AssertionError("set-up ran before the flag was checked")
 
-    for name in ("build_couplings", "bloch_bands", "guided_group_velocity", "Propagator",
+    for name in ("build_couplings", "bloch_bands", "guided_group_velocity", "choose_propagator",
                  "run_ensemble"):
         monkeypatch.setattr(cli, name, setup_reached)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags])

@@ -174,25 +174,39 @@ def test_mirror_state_involution(dir24):
     assert mirror_state(state).norm == pytest.approx(state.norm, abs=1e-15)
 
 
-def test_propagator_falls_back_to_expm_for_defective_h():
-    jordan = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
-    for matrix in (
-        jordan,  # a Jordan block: V is numerically singular (cond ~ 1e16)
+JORDAN = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        JORDAN,  # a Jordan block: V is numerically singular (cond ~ 1e16)
         np.eye(3, k=1, dtype=complex),  # nilpotent: V is exactly singular, inv raises
         np.array([[1.0, 1e300], [0.0, 1.0]], dtype=complex),  # ||V||_1 ||V^-1||_1 is NaN
-    ):
-        with pytest.warns(UserWarning, match="condition number"):
-            prop = Propagator(NonHermitianHamiltonian(matrix=matrix))
-        amps = np.array([0.3, 0.8j, -0.5][: len(matrix)])
-        state = ExcitationState(amps=amps, time=0.0)
-        for t in (0.5, 2.0):
-            got = propagate_to(state, prop, t).amps
-            want = expm(-1.0j * matrix * t) @ state.amps
+    ],
+)
+def test_propagator_raises_for_ill_conditioned_eigenvectors(matrix):
+    with pytest.raises(np.linalg.LinAlgError, match="condition number"):
+        Propagator(NonHermitianHamiltonian(matrix=matrix))
+
+
+def test_decision_keeps_the_taylor_series_for_a_defective_h():
+    # the Jordan block is a valid one-site chain H: -i/2 on both
+    # polarizations and a one-way Raman coupling; past N^2 / 200 = 0.005
+    # steps the decision tries Propagator, which raises, and keeps Taylor
+    h = NonHermitianHamiltonian(matrix=JORDAN)
+    taylor = TaylorPropagator.from_hamiltonian(h)
+    amps = np.array([0.3, 0.8j])
+    state = ExcitationState(amps=amps, time=0.0)
+    for t in (0.5, 2.0):
+        steps = taylor.steps(t)
+        assert not dynamics.taylor_pays(steps, 1)
+        assert dynamics.choose_propagator(taylor, steps, lambda: h) is taylor
+        got = propagate_to(state, taylor, t).amps
+        # closed form for the Jordan block: exp(-t/2) (1 - i t N)
+        closed = np.exp(-0.5 * t) * np.array([[1.0, -1.0j * t], [0.0, 1.0]]) @ amps
+        for want in (closed, expm(-1.0j * JORDAN * t) @ amps):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-            if matrix is jordan:
-                # closed form for the Jordan block: exp(-t/2) (1 - i t N)
-                closed = np.exp(-0.5 * t) * np.array([[1.0, -1.0j * t], [0.0, 1.0]]) @ amps
-                assert np.abs(got - closed).max() < 1e-14
 
 
 def test_mirror_covariance_dichotomy(rec24, dir24, rec24_prop, dir24_prop):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomchain import ensemble
+from atomchain import dynamics, ensemble
 from atomchain.chain_model import ChainConfig, read_config, validate
 from atomchain.collective_couplings import build_couplings
 from atomchain.dynamics import spin_wave, taylor_pays
@@ -405,8 +405,8 @@ def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
     vc = ChainConfig(n_atoms=24, lattice_const=0.125, mixing_angle=np.pi / 4)
     draw = disorder_sample(realization_seed(3, 0, 0), 1.0, vc.n_atoms)
     spectral = []
-    propagator = ensemble.Propagator
-    monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
+    propagator = dynamics.Propagator
+    monkeypatch.setattr(dynamics, "Propagator", lambda h: spectral.append(h) or propagator(h))
     blocks = config_runner(small_spec(configs=(vc,))).blocks.with_onsite(draw.energies)
     step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
     last = vc.n_atoms**2 // 200  # the most steps the Taylor path takes
@@ -431,8 +431,8 @@ def test_long_times_take_the_propagator_path_and_agree(monkeypatch):
 def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
     vc = ChainConfig(n_atoms=n_atoms, lattice_const=0.125, mixing_angle=np.pi / 4)
     spectral = []
-    propagator = ensemble.Propagator
-    monkeypatch.setattr(ensemble, "Propagator", lambda h: spectral.append(h) or propagator(h))
+    propagator = dynamics.Propagator
+    monkeypatch.setattr(dynamics, "Propagator", lambda h: spectral.append(h) or propagator(h))
     blocks = config_runner(small_spec(configs=(vc,))).blocks
     zero = disorder_sample(realization_seed(101, 0, 0), 0.0, n_atoms)
     step = 9.9 / blocks._shift()[2]  # the time one Taylor step covers
@@ -442,7 +442,7 @@ def test_shared_rule_keeps_the_cell_decision(monkeypatch, n_atoms):
         assert blocks.steps(t) == steps
         spectral.clear()
         config_runner(small_spec(configs=(vc,), observation_time=t)).run_cell(zero)
-        # run_cell's inline rule before taylor_pays: spectral when s * 200 > N^2
+        # choose_propagator's rule: spectral when s * 200 > N^2
         assert bool(spectral) == (steps * 200 > n_atoms**2) == (not taylor_pays(steps, n_atoms))
 
 
